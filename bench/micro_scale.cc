@@ -18,7 +18,7 @@
 //    twin's build footprint alongside for the memory win.
 //
 // 3. Million-user cell: the commuter-rush scenario at N=1,000,000 (quick:
-//    20,000) streamed end to end through Naive+grid with the oracle sweep
+//    20,000) streamed end to end through Naive with the oracle sweep
 //    disabled. The run ABORTS unless heap bytes/user stays under the
 //    committed ceiling and throughput stays above the floor.
 //
@@ -146,7 +146,7 @@ ScenarioWorkloadConfig ThroughputConfig(ScenarioKind kind, size_t users,
   return config;
 }
 
-// Builds the workload in the given mode, runs Naive+grid over it, and
+// Builds the workload in the given mode, runs Naive over it, and
 // reports throughput plus the live-heap high-water mark across build +
 // run: the same measurement for both modes, so the bytes/user columns
 // differ only by how positions are stored.
@@ -161,10 +161,8 @@ ScenarioRow RunScenario(ScenarioWorkloadConfig config, bool stream) {
   AllocProbe::ResetPeak();
   {
     const Workload workload = BuildScenarioWorkload(config);
-    RegionDetector::Options options;
-    options.use_spatial_index = true;
     std::unique_ptr<Detector> detector =
-        MakeDetector(Method::kNaive, workload, options);
+        MakeDetector(Method::kNaive, workload);
     WallTimer timer;
     detector->Run(workload.world);
     row.seconds = timer.ElapsedSeconds();
@@ -319,7 +317,7 @@ int Main() {
   }
 
   // -- Part 2: scenario throughput rows ------------------------------------
-  std::printf("== scenario pack (streaming, Naive+grid) ==\n");
+  std::printf("== scenario pack (streaming, Naive) ==\n");
   ThreadPool::SetGlobalThreads(4);
   const size_t row_users = quick ? 2000 : 50000;
   const int row_epochs = quick ? 24 : 40;

@@ -25,17 +25,14 @@ trap 'rm -rf "$OUT"' EXIT
 # Quick-mode sweeps, artifacts into the scratch dir. micro_detector also
 # enforces the deterministic-metrics digest across its thread sweep;
 # micro_net emits TRACE_net.json + REPORT_net.json and exits non-zero if
-# its counters fail to reconcile with CommStats; micro_index exits
-# non-zero unless the grid is bit-exact with the exhaustive scan across
-# its whole method x threads x shards matrix AND wins superlinearly over
-# its user sweep.
+# its counters fail to reconcile with CommStats.
 # micro_socket runs the detector pipeline over real UDP loopback sockets
 # and FATALs unless every method's alerts and message counts match the
 # in-process and SimNet runs (and the loss cell loses no alerts).
 # micro_latency runs traced cells (SimNet virtual + UDP wall clock) and
 # FATALs unless the detect->deliver tracker reconciles with CommStats
 # alert counts to the unit and the live stats endpoint answers.
-for bench in fig9_friends micro_detector micro_net micro_index micro_socket \
+for bench in fig9_friends micro_detector micro_net micro_socket \
              micro_latency micro_scale; do
   echo "== $bench (quick) =="
   PROXDET_QUICK=1 PROXDET_BENCH_JSON="$OUT" "$BUILD_DIR/bench/$bench" \
@@ -56,37 +53,13 @@ for artifact in "${artifacts[@]}"; do
   echo "ok: $(basename "$artifact")"
 done
 
-for required in TRACE_net.json REPORT_net.json BENCH_index.json \
-                BENCH_socket.json BENCH_latency.json BENCH_scale.json; do
+for required in TRACE_net.json REPORT_net.json BENCH_socket.json \
+                BENCH_latency.json BENCH_scale.json; do
   if [[ ! -f "$OUT/$required" ]]; then
     echo "FAIL: expected artifact $required was not emitted" >&2
     exit 1
   fi
 done
-
-# BENCH_index.json schema: the spatial-index gate must carry its oracle
-# verdict and the superlinear sweep + parity matrix it was judged on.
-python3 - "$OUT/BENCH_index.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc.get("figure") == "index", "figure != index"
-assert doc.get("oracle_exact") is True, "oracle_exact is not true"
-assert doc.get("speedup_ratio_largest_vs_smallest", 0) >= 3.0, \
-    "speedup ratio below the superlinear gate"
-assert doc["sweep"], "empty sweep"
-for row in doc["sweep"]:
-    assert row["bit_exact"] is True, f"sweep row not bit-exact: {row}"
-assert doc["parity"], "empty parity matrix"
-for row in doc["parity"]:
-    assert row["oracle_exact"] is True, f"parity row diverged: {row}"
-modes = {(r["mode"], r["value"]) for r in doc["parity"]}
-for want in [("threads", 1), ("threads", 2), ("threads", 4), ("threads", 8),
-             ("shards", 1), ("shards", 2), ("shards", 4)]:
-    assert want in modes, f"parity matrix missing {want}"
-assert doc["alloc"], "empty alloc probe"
-EOF
-echo "ok: BENCH_index.json schema + oracle parity"
 
 # BENCH_socket.json schema: the socket bench must carry its parity verdict
 # (UDP loopback bit-exact with the in-process engine AND the SimNet

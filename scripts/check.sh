@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # TSan gate for the in-epoch parallelism: configures a separate build tree
 # with -DPROXDET_SANITIZE=thread, builds it, and runs the `sanitize`-,
-# `net`-, `obs`-, `shard`- and `index`-labelled suites (thread-pool +
+# `net`-, `obs`-, `shard`- and `pair_check`-labelled suites (thread-pool +
 # determinism tests, the wire/transport suite whose transported runs drive
 # the network link while the engine scans fan out, the observability suite
 # whose relaxed-atomic counters and mutex-guarded sketches are written
 # from those same scans, the sharded serving plane whose frontend is only
-# driven from serial commit sections, and the spatial-index suite whose
-# grid buckets are read by the parallel candidate scans while all
-# maintenance stays serial) under a multi-thread global pool.
+# driven from serial commit sections, and the pair-check suite whose edge
+# scans fan out over the pool across thread counts) under a multi-thread
+# global pool.
 # The parallel-scan/serial-commit pattern is only safe if the scans are
 # genuinely read-only and the link is only touched from commit sections —
 # TSan is the check that they are.
@@ -21,7 +21,7 @@
 #
 # A third leg configures a tree with -DPROXDET_SIMD=OFF: the scalar-only
 # build of the geometry kernels must pass the same suites (the simd suite
-# collapses to scalar-vs-scalar identity there, and the detector/index
+# collapses to scalar-vs-scalar identity there, and the pair-check
 # properties prove the engines are backend-agnostic).
 #
 # The `socket`-labelled suite (the real-socket UDP backend) runs in every
@@ -37,11 +37,11 @@
 # invariance across thread counts is exactly the property TSan and the
 # OBS-OFF build must not perturb.
 #
-# A fourth leg runs the `simd` and `index` suites under
+# A fourth leg runs the `simd` and `pair_check` suites under
 # -DPROXDET_SANITIZE=undefined: the branchless lane arithmetic in the
 # vector kernels (masked selects, safe-divisor guards) must not hide UB —
 # every lane's intermediate math has to be well-defined even where a mask
-# discards it.
+# discards it, including the pair check's batched gap < r lanes.
 #
 #   scripts/check.sh [extra cmake args...]
 #
@@ -57,7 +57,7 @@ OBS_OFF_BUILD_DIR="${OBS_OFF_BUILD_DIR:-build-obs-off}"
 SIMD_OFF_BUILD_DIR="${SIMD_OFF_BUILD_DIR:-build-simd-off}"
 UBSAN_BUILD_DIR="${UBSAN_BUILD_DIR:-build-ubsan}"
 JOBS="$(nproc)"
-LABELS='sanitize|net|obs|shard|index|simd|socket|latency|scale'
+LABELS='sanitize|net|obs|shard|pair_check|simd|socket|latency|scale'
 
 cmake -B "$BUILD_DIR" -S . -DPROXDET_SANITIZE=thread "$@"
 cmake --build "$BUILD_DIR" -j "$JOBS"
@@ -74,4 +74,4 @@ ctest --test-dir "$SIMD_OFF_BUILD_DIR" -L "$LABELS" --output-on-failure -j "$JOB
 
 cmake -B "$UBSAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=undefined "$@"
 cmake --build "$UBSAN_BUILD_DIR" -j "$JOBS"
-ctest --test-dir "$UBSAN_BUILD_DIR" -L 'simd|index' --output-on-failure -j "$JOBS"
+ctest --test-dir "$UBSAN_BUILD_DIR" -L 'simd|pair_check' --output-on-failure -j "$JOBS"

@@ -83,37 +83,6 @@ void AddShardNetSections(obs::RunReport* report,
   report->AddCount("batching", "compress_mismatch", net.compress_mismatch);
 }
 
-void AddIndexSection(obs::RunReport* report, const SpatialIndexStats& stats) {
-  report->AddCount("index", "upserts", stats.upserts);
-  report->AddCount("index", "moves", stats.moves);
-  report->AddCount("index", "removes", stats.removes);
-  report->AddCount("index", "rebuilds", stats.rebuilds);
-  report->AddCount("index", "queries", stats.queries);
-  report->AddCount("index", "cells_probed", stats.cells_probed);
-  report->AddCount("index", "candidates", stats.candidates);
-  report->AddCount("index", "match_classified", stats.match_classified);
-  report->AddCount("index", "match_exact", stats.match_exact);
-}
-
-bool ReconcileIndexStats(const obs::MetricsSnapshot& snapshot,
-                         const SpatialIndexStats& stats, std::string* error) {
-  if (snapshot.counters.empty()) return true;  // Observability compiled out.
-  bool ok = true;
-  CheckField(snapshot, "engine.index.upserts", stats.upserts, &ok, error);
-  CheckField(snapshot, "engine.index.moves", stats.moves, &ok, error);
-  CheckField(snapshot, "engine.index.rebuilds", stats.rebuilds, &ok, error);
-  CheckField(snapshot, "engine.index.queries", stats.queries, &ok, error);
-  CheckField(snapshot, "engine.index.cells_probed", stats.cells_probed, &ok,
-             error);
-  CheckField(snapshot, "engine.index.candidates", stats.candidates, &ok,
-             error);
-  CheckField(snapshot, "engine.index.match_classified", stats.match_classified,
-             &ok, error);
-  CheckField(snapshot, "engine.index.match_exact", stats.match_exact, &ok,
-             error);
-  return ok;
-}
-
 bool ReconcileWithCommStats(const obs::MetricsSnapshot& snapshot,
                             const CommStats& stats, std::string* error) {
   if (snapshot.counters.empty()) return true;  // Observability compiled out.

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "core/comm_stats.h"
-#include "core/spatial_index.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -23,20 +22,6 @@ obs::RunReport MakeRunReport(const std::string& run_name,
 /// "shard<i>" section per partition (users, frames/bytes by direction) plus
 /// a "batching" section with the coalescing and compression counters.
 void AddShardNetSections(obs::RunReport* report, const net::NetRunStats& net);
-
-/// Adds a detector's spatial-index work counters to a RunReport as an
-/// "index" section (upserts/moves/rebuilds, queries, cells probed,
-/// candidates, match-classifier verdicts). All values are deterministic
-/// per the SpatialIndexStats contract.
-void AddIndexSection(obs::RunReport* report, const SpatialIndexStats& stats);
-
-/// Checks that the engine.index.* registry counters reconcile with a
-/// detector's index_stats() to the unit (both count the same serial-commit
-/// and serial-fold events). Trivially true when the snapshot carries no
-/// counters (observability compiled out). On failure returns false and
-/// appends a description per mismatch to *error.
-bool ReconcileIndexStats(const obs::MetricsSnapshot& snapshot,
-                         const SpatialIndexStats& stats, std::string* error);
 
 /// Checks that the registry's engine/net counters reconcile with CommStats
 /// to the unit: every message-count field matches its engine.* counter, the

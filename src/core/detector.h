@@ -1,17 +1,27 @@
 #ifndef PROXDET_CORE_DETECTOR_H_
 #define PROXDET_CORE_DETECTOR_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/comm_stats.h"
 #include "core/events.h"
-#include "core/spatial_index.h"
 #include "core/world.h"
 
 namespace proxdet {
 
 class ClientLink;
+
+/// Deterministic pair-check work counters of one Run (a pure function of
+/// the workload seed, independent of thread count). The name predates the
+/// removal of the grid index; perfbench reads the struct by it.
+struct SpatialIndexStats {
+  /// Region-pair predicates the per-epoch edge scan evaluated.
+  uint64_t candidates = 0;
+  /// Always 0: the edge scan probes no spatial cells (there is no index).
+  uint64_t cells_probed = 0;
+};
 
 /// A continuous proximity detection strategy. `Run` simulates the full
 /// client-server protocol over the world and records every message in
@@ -61,37 +71,14 @@ class Detector {
 /// The Naive baseline (Sec. VI-C): every user reports every epoch, the
 /// server recomputes all pair distances. No probing, maximal reporting.
 ///
-/// The per-epoch pair check has two implementations producing bit-exact
-/// identical alerts and CommStats (property-tested, and enforced by
-/// bench/micro_index):
-///  - uniform-grid candidate enumeration (default): positions live in a
-///    UniformGridIndex; each user only examines candidates from cells
-///    within its largest incident alert radius, plus an exit check over
-///    the currently-matched pairs. O(users x local density + matched).
-///  - exhaustive O(edges) distance scan (Options::use_spatial_index =
-///    false): the historical scan, kept as the correctness oracle.
+/// The per-epoch pair check is one exhaustive O(edges) scan: every interest
+/// edge's distance compare, batched through the SIMD kernels. The interest
+/// graph is sparse (F << N), so the edge list is the natural candidate set
+/// (DESIGN.md §10 on why there is no spatial index).
 class NaiveDetector : public Detector {
  public:
-  struct Options {
-    /// false selects the exhaustive edge scan (the oracle the grid path
-    /// is verified against).
-    bool use_spatial_index = true;
-  };
-
-  NaiveDetector() = default;
-  explicit NaiveDetector(Options options) : options_(options) {}
-
   std::string name() const override { return "Naive"; }
   void Run(const World& world) override;
-
-  /// Work counters of the last Run's grid path (all zero for the
-  /// exhaustive scan); mirrors the engine.index.* obs counters to the
-  /// unit (see bench_support/obs_artifacts.h).
-  const SpatialIndexStats& index_stats() const { return index_stats_; }
-
- private:
-  Options options_;
-  SpatialIndexStats index_stats_;
 };
 
 }  // namespace proxdet

@@ -12,9 +12,7 @@ namespace proxdet {
 
 /// Canonical 64-bit key of an unordered user pair: the smaller id in the
 /// high word. Ascending key order equals the sorted-edge-list order
-/// (u < w, sorted by (u, w)) that every serial commit walks — the spatial
-/// index paths sort their candidate sets by this key to reproduce the
-/// exhaustive scans' commit order bit-exactly (DESIGN.md §10).
+/// (u < w, sorted by (u, w)) that every serial commit walks.
 inline uint64_t PairKey(UserId u, UserId w) {
   const uint64_t a = static_cast<uint64_t>(std::min(u, w));
   const uint64_t b = static_cast<uint64_t>(std::max(u, w));

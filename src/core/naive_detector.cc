@@ -6,7 +6,6 @@
 #include "common/timer.h"
 #include "core/client_link.h"
 #include "core/detector.h"
-#include "core/spatial_index.h"
 #include "exec/thread_pool.h"
 #include "geom/simd/simd.h"
 #include "obs/metrics.h"
@@ -33,35 +32,9 @@ struct NaiveMetrics {
   }
 };
 
-/// Spatial-index work counters, shared by both engines' grid paths and
-/// reconciled against Detector::index_stats() to the unit.
-struct IndexMetrics {
-  obs::Counter& upserts;
-  obs::Counter& moves;
-  obs::Counter& rebuilds;
-  obs::Counter& queries;
-  obs::Counter& cells_probed;
-  obs::Counter& candidates;
-
-  static const IndexMetrics& Get() {
-    static const IndexMetrics m{
-        obs::Metrics().GetCounter("engine.index.upserts"),
-        obs::Metrics().GetCounter("engine.index.moves"),
-        obs::Metrics().GetCounter("engine.index.rebuilds"),
-        obs::Metrics().GetCounter("engine.index.queries"),
-        obs::Metrics().GetCounter("engine.index.cells_probed"),
-        obs::Metrics().GetCounter("engine.index.candidates"),
-    };
-    return m;
-  }
-};
-
-/// Batched pair-scan observability. The exhaustive oracle path records one
-/// histogram sample per chunk dispatch (the SoA lane count handed to the
-/// kernel); the grid path's per-user batches are too frequent for a
-/// mutex-guarded histogram, so they are summarized by the lane counter
-/// instead (lanes staged are survivors of the integer filters — a pure
-/// function of the workload, so both stay in the deterministic digest).
+/// Batched pair-scan observability: one histogram sample per chunk dispatch
+/// (the SoA lane count handed to the kernel) plus a lane counter — pure
+/// functions of the workload, so both stay in the deterministic digest.
 /// The dispatch counter is keyed by the runtime-selected backend, which
 /// depends on CPUID and -DPROXDET_SIMD, hence wall-clock-kinded.
 struct SimdScanMetrics {
@@ -90,9 +63,6 @@ struct SimdScanMetrics {
 // Edges per scan chunk: coarse enough that chunk bookkeeping is negligible
 // next to the distance math, fine enough to balance the pool at 10k users.
 constexpr size_t kEdgeGrain = 1024;
-// Users per grid-query chunk: each iteration runs a multi-cell candidate
-// enumeration, heavier than one distance, so chunks are finer.
-constexpr size_t kQueryGrain = 256;
 
 }  // namespace
 
@@ -101,7 +71,7 @@ constexpr size_t kQueryGrain = 256;
 // for any thread count:
 //  - scan: pair decisions run on the pool; each chunk appends the edge
 //    slots whose inside/outside state *changed* to its own delta list
-//    (positions, edge list, grid buckets and matched flags are read-only).
+//    (positions, edge list and matched flags are read-only).
 //  - commit: transition slots are walked in ascending slot order — global
 //    edge order — flipping per-edge matched state and emitting alerts
 //    exactly where the historical serial loop would have.
@@ -109,21 +79,10 @@ constexpr size_t kQueryGrain = 256;
 // only when graph updates apply); per-edge decisions depend only on that
 // edge's own persistent state, so the transition set is order-independent
 // and the commit order fixes the alert order.
-//
-// Two scans produce that transition set (DESIGN.md §10 argues equality):
-//  - exhaustive (the oracle): every edge's distance comparison.
-//  - grid (default): enter transitions come from per-user candidate
-//    enumeration over grid cells within the user's largest incident alert
-//    radius (only the u < w side emits, so each pair is examined once);
-//    exit transitions from a direct check of the currently-matched pairs.
-//    Grid bucket order is insertion-dependent, so the merged transition
-//    slots are sorted before the commit — normalizing them onto the exact
-//    order the exhaustive scan produces.
 void NaiveDetector::Run(const World& world) {
   stats_ = CommStats();
   phase_times_ = PhaseTimes();
   alerts_.clear();
-  index_stats_ = SpatialIndexStats();
   InterestGraph graph = world.graph();  // Mutable copy for dynamic updates.
   std::unordered_set<uint64_t> matched_pairs;  // Source of truth across rebuilds.
   std::vector<InterestGraph::Edge> edges;
@@ -133,49 +92,21 @@ void NaiveDetector::Run(const World& world) {
   size_t next_update = 0;
   const auto& updates = world.scheduled_updates();
 
-  // Grid-path state, maintained incrementally across epochs. Edge slots
-  // are found by binary search instead of a hash map: Edges() is sorted by
-  // (u, w) with u < w, so user u's smaller-endpoint edges occupy the
-  // contiguous range [edge_start[u], edge_start[u+1]) ordered by w — an
-  // O(N + E) counting pass replaces E hash inserts per rebuild.
-  UniformGridIndex grid;
-  std::vector<uint32_t> edge_start(world.user_count() + 1, 0);
-  std::vector<double> max_incident(world.user_count(), 0.0);
-  const auto find_slot = [&](UserId u, UserId w) -> int64_t {
-    const auto lo = edges.begin() + edge_start[u];
-    const auto hi = edges.begin() + edge_start[u + 1];
-    const auto it = std::lower_bound(
-        lo, hi, w,
-        [](const InterestGraph::Edge& e, UserId w_) { return e.w < w_; });
-    if (it == hi || it->w != w) return -1;
-    return it - edges.begin();
-  };
-
   // Reused scratch, kept allocation-free across epochs (clear, don't free).
-  // Cache-line aligned per chunk: the vector headers and work counters are
-  // written from pool threads while neighbouring chunks run on other
-  // cores — packed tightly they false-share a line and the ping-pong costs
-  // more than the queries themselves.
+  // Cache-line aligned per chunk: the vector headers are written from
+  // pool threads while neighbouring chunks run on other cores — packed
+  // tightly they would false-share a line.
   struct alignas(64) ChunkScratch {
     std::vector<uint32_t> out;   // Transition slots found by this chunk.
-    std::vector<int32_t> cand;   // Grid-query candidate buffer.
-    // SoA staging for the batched distance predicate: candidates that
-    // survive the cheap integer filters are gathered here, then settled by
-    // one simd kernel call per batch (bit-exact with the scalar compare).
-    std::vector<uint32_t> slots;  // Edge slot per staged lane.
-    std::vector<double> ax, ay;   // First endpoint (u side).
-    std::vector<double> bx, by;   // Second endpoint (candidate side).
+    // SoA staging for the batched distance predicate, settled by one simd
+    // kernel call per chunk (bit-exact with the scalar compare).
+    std::vector<double> ax, ay;   // First endpoint.
+    std::vector<double> bx, by;   // Second endpoint.
     std::vector<double> rad;      // Alert radius per lane.
     std::vector<uint8_t> within;  // Kernel verdicts.
-    uint64_t queries = 0;
-    uint64_t cells = 0;
-    uint64_t candidates = 0;
-    uint64_t kernel_calls = 0;  // Batched-kernel dispatches this chunk.
-    uint64_t kernel_lanes = 0;  // SoA lanes staged across those calls.
   };
   std::vector<ChunkScratch> chunks_scratch;
-  std::vector<uint32_t> transitions;  // Merged + sorted slots (grid path).
-  std::vector<uint32_t> matched_slots;
+  std::vector<uint32_t> transitions;  // Merged slots, ascending.
   std::vector<Vec2> window_scratch;  // Transported reports (window_len 0).
 
   for (int epoch = 0; epoch < world.epochs(); ++epoch) {
@@ -199,23 +130,6 @@ void NaiveDetector::Run(const World& world) {
       matched.assign(edges.size(), 0);
       for (size_t i = 0; i < edges.size(); ++i) {
         matched[i] = matched_pairs.count(PairKey(edges[i].u, edges[i].w)) > 0;
-      }
-      if (options_.use_spatial_index) {
-        std::fill(edge_start.begin(), edge_start.end(), 0);
-        std::fill(max_incident.begin(), max_incident.end(), 0.0);
-        double max_r = 0.0;
-        for (const auto& e : edges) {
-          ++edge_start[e.u + 1];
-          max_incident[e.u] = std::max(max_incident[e.u], e.alert_radius);
-          max_incident[e.w] = std::max(max_incident[e.w], e.alert_radius);
-          max_r = std::max(max_r, e.alert_radius);
-        }
-        for (size_t u = 1; u < edge_start.size(); ++u) {
-          edge_start[u] += edge_start[u - 1];
-        }
-        // Cell size tracks the radius regime: one cell spans the largest
-        // alert radius, so a candidate query touches at most ~9 cells.
-        grid.SetCellSize(max_r > 0.0 ? max_r : 1.0);
       }
       edges_dirty = false;
     }
@@ -241,153 +155,49 @@ void NaiveDetector::Run(const World& world) {
     }
     WallTimer phase_timer;  // pair_check: scan + commit, not the uploads.
     transitions.clear();
-    if (options_.use_spatial_index) {
-      // Maintenance: move every user to its current cell (serial — the
-      // grid is the one structure the parallel scan below reads).
-      for (UserId u = 0; u < static_cast<UserId>(pos.size()); ++u) {
-        grid.Upsert(u, pos[u]);
+    // Every edge's distance comparison, chunk delta lists concatenated in
+    // chunk order (== ascending slot order).
+    const size_t chunks =
+        edges.empty() ? 0 : (edges.size() + kEdgeGrain - 1) / kEdgeGrain;
+    if (chunks_scratch.size() < chunks) chunks_scratch.resize(chunks);
+    ParallelForChunked(edges.size(), kEdgeGrain, [&](size_t lo, size_t hi) {
+      ChunkScratch& scratch = chunks_scratch[lo / kEdgeGrain];
+      std::vector<uint32_t>& out = scratch.out;
+      out.clear();
+      // Gather both endpoints into SoA lanes, settle the whole chunk with
+      // one batched Distance < r kernel call (bit-exact per lane), then
+      // diff against the matched state in slot order.
+      const size_t m = hi - lo;
+      scratch.ax.resize(m);
+      scratch.ay.resize(m);
+      scratch.bx.resize(m);
+      scratch.by.resize(m);
+      scratch.rad.resize(m);
+      scratch.within.resize(m);
+      for (size_t i = lo; i < hi; ++i) {
+        const auto& e = edges[i];
+        scratch.ax[i - lo] = pos[e.u].x;
+        scratch.ay[i - lo] = pos[e.u].y;
+        scratch.bx[i - lo] = pos[e.w].x;
+        scratch.by[i - lo] = pos[e.w].y;
+        scratch.rad[i - lo] = e.alert_radius;
       }
-      // Enter scan: candidates from cells within the user's own largest
-      // incident radius; only the u < w side emits, so each unmatched edge
-      // is distance-checked at most once, from its smaller endpoint.
-      const size_t n = pos.size();
-      const size_t chunks = n == 0 ? 0 : (n + kQueryGrain - 1) / kQueryGrain;
-      if (chunks_scratch.size() < chunks) chunks_scratch.resize(chunks);
-      ParallelForChunked(n, kQueryGrain, [&](size_t lo, size_t hi) {
-        ChunkScratch& scratch = chunks_scratch[lo / kQueryGrain];
-        std::vector<uint32_t>& out = scratch.out;
-        std::vector<int32_t>& cand = scratch.cand;
-        out.clear();
-        // Work tallies accumulate in registers; one store per chunk.
-        uint64_t queries = 0;
-        uint64_t cells = 0;
-        uint64_t candidates = 0;
-        uint64_t kernel_calls = 0;
-        uint64_t kernel_lanes = 0;
-        for (size_t u = lo; u < hi; ++u) {
-          const double query_r = max_incident[u];
-          if (query_r <= 0.0) continue;  // Isolated user: no edges to check.
-          cand.clear();
-          queries += 1;
-          cells += grid.Query(pos[u], query_r, &cand);
-          candidates += cand.size();
-          // Stage the survivors of the integer filters into SoA lanes; the
-          // batched kernel computes Distance(pos[u], pos[w]) < r per lane
-          // bit-exactly, so the pushed slots (and their order) match the
-          // scalar loop's.
-          std::vector<uint32_t>& slots = scratch.slots;
-          slots.clear();
-          scratch.bx.clear();
-          scratch.by.clear();
-          scratch.rad.clear();
-          for (const int32_t w : cand) {
-            if (w <= static_cast<int32_t>(u)) continue;
-            const int64_t found = find_slot(static_cast<UserId>(u), w);
-            if (found < 0) continue;  // Spatially near, no edge.
-            const uint32_t slot = static_cast<uint32_t>(found);
-            if (matched[slot]) continue;  // Exits handled below.
-            slots.push_back(slot);
-            scratch.bx.push_back(pos[w].x);
-            scratch.by.push_back(pos[w].y);
-            scratch.rad.push_back(edges[slot].alert_radius);
-          }
-          const size_t m = slots.size();
-          kernel_calls += 1;
-          kernel_lanes += m;
-          scratch.within.resize(m);
-          simd::PointWithinRadiusOfPoints(pos[u].x, pos[u].y,
-                                          scratch.bx.data(), scratch.by.data(),
-                                          scratch.rad.data(), m,
-                                          scratch.within.data());
-          for (size_t k = 0; k < m; ++k) {
-            if (scratch.within[k]) out.push_back(slots[k]);
-          }
-        }
-        scratch.queries = queries;
-        scratch.cells = cells;
-        scratch.candidates = candidates;
-        scratch.kernel_calls = kernel_calls;
-        scratch.kernel_lanes = kernel_lanes;
-      });
-      // Exit scan: matched pairs are few (output-sensitive) and their
-      // membership is not a spatial property, so they are checked directly.
-      matched_slots.clear();
-      for (const uint64_t key : matched_pairs) {
-        matched_slots.push_back(
-            static_cast<uint32_t>(find_slot(PairKeyMin(key), PairKeyMax(key))));
-      }
-      for (const uint32_t slot : matched_slots) {
-        const auto& e = edges[slot];
-        if (!(Distance(pos[e.u], pos[e.w]) < e.alert_radius)) {
-          transitions.push_back(slot);
+      SimdScanMetrics::Get().pair_scan_batch.Record(static_cast<double>(m));
+      SimdScanMetrics::Get().dispatches.Inc();
+      SimdScanMetrics::Get().pair_scan_lanes.Inc(m);
+      simd::PairsWithinRadii(scratch.ax.data(), scratch.ay.data(),
+                             scratch.bx.data(), scratch.by.data(),
+                             scratch.rad.data(), m, scratch.within.data());
+      for (size_t i = lo; i < hi; ++i) {
+        const bool inside = scratch.within[i - lo] != 0;
+        if (inside != (matched[i] != 0)) {
+          out.push_back(static_cast<uint32_t>(i));
         }
       }
-      uint64_t queries = 0;
-      uint64_t cells = 0;
-      uint64_t candidates = 0;
-      uint64_t kernel_calls = 0;
-      uint64_t kernel_lanes = 0;
-      for (size_t c = 0; c < chunks; ++c) {
-        const ChunkScratch& scratch = chunks_scratch[c];
-        transitions.insert(transitions.end(), scratch.out.begin(),
-                           scratch.out.end());
-        queries += scratch.queries;
-        cells += scratch.cells;
-        candidates += scratch.candidates;
-        kernel_calls += scratch.kernel_calls;
-        kernel_lanes += scratch.kernel_lanes;
-      }
-      SimdScanMetrics::Get().dispatches.Inc(kernel_calls);
-      SimdScanMetrics::Get().pair_scan_lanes.Inc(kernel_lanes);
-      // Normalize: bucket enumeration order is maintenance-dependent, so
-      // sort the transition set into the exhaustive scan's slot order.
-      std::sort(transitions.begin(), transitions.end());
-      grid.RecordQuery(queries, cells, candidates);
-    } else {
-      // Exhaustive oracle: every edge's distance comparison, chunk delta
-      // lists concatenated in chunk order (== ascending slot order).
-      const size_t chunks =
-          edges.empty() ? 0 : (edges.size() + kEdgeGrain - 1) / kEdgeGrain;
-      if (chunks_scratch.size() < chunks) chunks_scratch.resize(chunks);
-      ParallelForChunked(edges.size(), kEdgeGrain, [&](size_t lo, size_t hi) {
-        ChunkScratch& scratch = chunks_scratch[lo / kEdgeGrain];
-        std::vector<uint32_t>& out = scratch.out;
-        out.clear();
-        // Gather both endpoints into SoA lanes, settle the whole chunk with
-        // one batched Distance < r kernel call (bit-exact per lane), then
-        // diff against the matched state in slot order.
-        const size_t m = hi - lo;
-        scratch.ax.resize(m);
-        scratch.ay.resize(m);
-        scratch.bx.resize(m);
-        scratch.by.resize(m);
-        scratch.rad.resize(m);
-        scratch.within.resize(m);
-        for (size_t i = lo; i < hi; ++i) {
-          const auto& e = edges[i];
-          scratch.ax[i - lo] = pos[e.u].x;
-          scratch.ay[i - lo] = pos[e.u].y;
-          scratch.bx[i - lo] = pos[e.w].x;
-          scratch.by[i - lo] = pos[e.w].y;
-          scratch.rad[i - lo] = e.alert_radius;
-        }
-        SimdScanMetrics::Get().pair_scan_batch.Record(static_cast<double>(m));
-        SimdScanMetrics::Get().dispatches.Inc();
-        SimdScanMetrics::Get().pair_scan_lanes.Inc(m);
-        simd::PairsWithinRadii(scratch.ax.data(), scratch.ay.data(),
-                               scratch.bx.data(), scratch.by.data(),
-                               scratch.rad.data(), m, scratch.within.data());
-        for (size_t i = lo; i < hi; ++i) {
-          const bool inside = scratch.within[i - lo] != 0;
-          if (inside != (matched[i] != 0)) {
-            out.push_back(static_cast<uint32_t>(i));
-          }
-        }
-      });
-      for (size_t c = 0; c < chunks; ++c) {
-        transitions.insert(transitions.end(), chunks_scratch[c].out.begin(),
-                           chunks_scratch[c].out.end());
-      }
+    });
+    for (size_t c = 0; c < chunks; ++c) {
+      transitions.insert(transitions.end(), chunks_scratch[c].out.begin(),
+                         chunks_scratch[c].out.end());
     }
     for (const uint32_t i : transitions) {
       const auto& e = edges[i];
@@ -412,16 +222,6 @@ void NaiveDetector::Run(const World& world) {
     phase_times_.pair_check += phase_timer.ElapsedSeconds();
     // Epoch barrier for batched transported links (no-op in-process).
     if (link_ != nullptr) link_->EndEpoch(epoch);
-  }
-  if (options_.use_spatial_index) {
-    index_stats_ = grid.stats();
-    const IndexMetrics& m = IndexMetrics::Get();
-    m.upserts.Inc(index_stats_.upserts);
-    m.moves.Inc(index_stats_.moves);
-    m.rebuilds.Inc(index_stats_.rebuilds);
-    m.queries.Inc(index_stats_.queries);
-    m.cells_probed.Inc(index_stats_.cells_probed);
-    m.candidates.Inc(index_stats_.candidates);
   }
 }
 

@@ -1,7 +1,6 @@
 #include "core/region_detector.h"
 
 #include <algorithm>
-#include <cassert>
 #include <deque>
 #include <optional>
 #include <unordered_map>
@@ -10,7 +9,6 @@
 #include "common/timer.h"
 #include "core/client_link.h"
 #include "core/cost_model.h"
-#include "core/spatial_index.h"
 #include "exec/thread_pool.h"
 #include "geom/simd/simd.h"
 #include "obs/metrics.h"
@@ -47,33 +45,6 @@ struct EngineMetrics {
         obs::Metrics().GetCounter("engine.epochs"),
         obs::Metrics().GetCounter("engine.safe_region_exits"),
         obs::Metrics().GetCounter("engine.pair_check_probed_edges"),
-    };
-    return m;
-  }
-};
-
-/// Spatial-index work counters (same registry names as the naive engine's
-/// grid path); reconciled against index_stats() to the unit.
-struct IndexMetrics {
-  obs::Counter& upserts;
-  obs::Counter& moves;
-  obs::Counter& rebuilds;
-  obs::Counter& queries;
-  obs::Counter& cells_probed;
-  obs::Counter& candidates;
-  obs::Counter& match_classified;
-  obs::Counter& match_exact;
-
-  static const IndexMetrics& Get() {
-    static const IndexMetrics m{
-        obs::Metrics().GetCounter("engine.index.upserts"),
-        obs::Metrics().GetCounter("engine.index.moves"),
-        obs::Metrics().GetCounter("engine.index.rebuilds"),
-        obs::Metrics().GetCounter("engine.index.queries"),
-        obs::Metrics().GetCounter("engine.index.cells_probed"),
-        obs::Metrics().GetCounter("engine.index.candidates"),
-        obs::Metrics().GetCounter("engine.index.match_classified"),
-        obs::Metrics().GetCounter("engine.index.match_exact"),
     };
     return m;
   }
@@ -122,7 +93,6 @@ constexpr double kMinSpeed = 1e-3;  // m/epoch floor for estimates.
 constexpr size_t kUserGrain = 512;   // ShapeContains per user.
 constexpr size_t kEdgeGrain = 256;   // ShapeMinDistance per edge.
 constexpr size_t kPairGrain = 128;   // MatchRegion::Contains per pair.
-constexpr size_t kQueryGrain = 256;  // Region-grid query per user.
 
 /// Epoch-resolved circle form of a shape, when it has one. Circle and
 /// MovingCircle predicates against these resolved circles are bit-exact
@@ -202,102 +172,55 @@ struct RegionDetector::Impl {
   std::deque<UserId> queue;
   int epoch = 0;
 
-  // Which acceleration structures this run maintains. The flags only change
-  // *how* candidates are enumerated — the outputs are bit-exact either way.
   const bool per_epoch_check;  // Policy has moving regions (FMD/CMD).
-  const bool use_grid;         // Region grid drives the pair check.
-  const bool use_match_cls;    // Cell classifiers drive the match scan.
 
   // Reused scratch, kept allocation-free across epochs (clear, don't
   // free). The scan buffers are written by parallel read-only scans
   // (distinct slots per index / per chunk) and consumed by the serial
-  // in-order commits below; window_buf, match_keys, friend_views, flagged
-  // and unindexed are only ever touched from serial code.
+  // in-order commits below; window_buf, match_keys and friend_views are
+  // only ever touched from serial code.
   std::vector<Vec2> window_buf;
   std::vector<uint8_t> exit_flags;    // Per user: see ExitFlag.
   std::vector<uint8_t> pair_inside;   // Per sorted matched-pair key.
   std::vector<uint8_t> edge_probe;    // Per cached edge: scan said d < r.
   std::vector<uint64_t> match_keys;   // Sorted matched-pair keys.
   std::vector<FriendView> friend_views;
-  struct ChunkWork {
-    uint64_t queries = 0;
-    uint64_t cells = 0;
-    uint64_t candidates = 0;
-  };
-  std::vector<std::vector<uint64_t>> flag_chunks;  // Per-chunk PairKeys.
-  std::vector<std::vector<int32_t>> cand_bufs;     // Per-chunk query scratch.
-  std::vector<ChunkWork> chunk_work;
   // Per-chunk SoA staging for the batched geometry kernels. One pool
   // serves every phase (they run sequentially): the exit scan stages
-  // (circle, point) lanes, the match oracle (circle, point) lane pairs,
+  // (circle, point) lanes, the match scan (circle, point) lane pairs,
   // the pair check (circle, circle, threshold) lanes. Cache-line aligned
   // like the buffers above — the headers are written from pool threads.
   struct alignas(64) BatchScratch {
     std::vector<uint32_t> ids;   // User id or edge slot per lane.
-    std::vector<uint64_t> keys;  // Pair key per lane (pair check).
     std::vector<double> ax, ay, ar;  // First circle (center, radius).
     std::vector<double> bx, by, br;  // Point or second circle.
     std::vector<double> thr;         // Per-lane threshold.
     std::vector<uint8_t> flags;      // Kernel verdicts.
+    uint64_t evaluated = 0;          // Pair check: predicates this chunk.
   };
   std::vector<BatchScratch> batch_chunks;
-  // Per-user circle form of the installed region, resolved once per epoch
-  // at pair-check start (grid path); parallel scans then read plain
-  // arrays instead of re-resolving the variant per candidate pair.
-  std::vector<double> circ_x, circ_y, circ_r;
-  std::vector<uint8_t> circ_ok;
-  std::vector<uint64_t> flagged;   // Merged + sorted flagged pairs.
-  std::vector<UserId> unindexed;   // Regions with degenerate bounds.
-
   // The edge snapshot, kept sorted by (u, w) and maintained *incrementally*
   // under graph updates (a delete/insert epoch used to re-snapshot and
-  // re-sort the whole list via graph.Edges()). validate_builds asserts the
-  // delta path equals a from-scratch snapshot after every update batch.
+  // re-sort the whole list via graph.Edges()). It is the pair check's only
+  // input, so validate_builds checks the delta path against a from-scratch
+  // snapshot after every update batch.
   std::vector<InterestGraph::Edge> edge_cache;
-
-  // Grid-path state (maintained only when the flags above say so).
-  RegionGridIndex region_grid;
-  std::unordered_map<uint64_t, double> edge_radius;  // PairKey -> r_{u,w}.
-  std::unordered_map<uint64_t, MatchCellClassifier> match_cls;
-  std::vector<double> max_incident;  // Per-user largest incident radius.
-  double max_alert_radius = 0.0;     // Cell-size anchor.
-  SpatialIndexStats match_stats;     // Classifier work (serial folds).
+  uint64_t pair_candidates = 0;  // Predicates the pair check evaluated.
 
   enum ExitFlag : uint8_t { kInside = 0, kExited = 1, kNeedsInit = 2 };
 
   Impl(const World& w, RegionDetector& s)
-      : world(w),
+      : epoch_flags(w.user_count(), 0),
+        world(w),
         self(s),
         graph(w.graph()),
         users(w.user_count()),
-        epoch_flags(w.user_count(), 0),
-        per_epoch_check(s.policy_->NeedsPerEpochPairCheck()),
-        use_grid(per_epoch_check && s.options_.use_spatial_index),
-        use_match_cls(s.options_.use_match_regions &&
-                      s.options_.use_spatial_index) {
-    if (per_epoch_check) {
-      edge_cache = graph.Edges();
-      if (use_grid) {
-        max_incident.assign(users.size(), 0.0);
-        for (const auto& e : edge_cache) {
-          edge_radius.emplace(PairKey(e.u, e.w), e.alert_radius);
-          max_incident[e.u] = std::max(max_incident[e.u], e.alert_radius);
-          max_incident[e.w] = std::max(max_incident[e.w], e.alert_radius);
-          max_alert_radius = std::max(max_alert_radius, e.alert_radius);
-        }
-      }
-    }
+        per_epoch_check(s.policy_->NeedsPerEpochPairCheck()) {
+    if (per_epoch_check) edge_cache = graph.Edges();
   }
 
   bool IsMatched(UserId u, UserId w) const {
     return matched.count(PairKey(u, w)) > 0;
-  }
-
-  /// Classifier cell size: a quarter radius keeps the provably-inside core
-  /// non-empty (the inscribed square spans ~5.6 cells) while classification
-  /// itself is O(1) integer compares regardless of the range sizes.
-  static MatchCellClassifier MakeClassifier(const Circle& c) {
-    return MatchCellClassifier(c, std::max(c.radius, 1e-9) / 4.0);
   }
 
   /// Client -> server location upload (at most one per user per epoch).
@@ -357,9 +280,6 @@ struct RegionDetector::Impl {
     const MatchRegion region = MatchRegion::Make(users[u].pos, users[w].pos, r);
     const uint64_t key = PairKey(u, w);
     matched.emplace(key, region);
-    if (use_match_cls) {
-      match_cls.insert_or_assign(key, MakeClassifier(region.circle()));
-    }
     const UserId a = std::min(u, w);
     const UserId b = std::max(u, w);
     self.alerts_.push_back({epoch, a, b});
@@ -384,7 +304,6 @@ struct RegionDetector::Impl {
   void DissolveMatch(UserId u, UserId w) {
     const uint64_t key = PairKey(u, w);
     matched.erase(key);
-    match_cls.erase(key);
     if (self.options_.use_match_regions) {
       self.stats_.match_installs += 2;  // Deletion notices.
       EngineMetrics::Get().match_installs.Inc(2);
@@ -410,12 +329,6 @@ struct RegionDetector::Impl {
           });
       edge_cache.insert(it, edge);
     }
-    if (use_grid) {
-      edge_radius.insert_or_assign(PairKey(u, w), r);
-      max_incident[u] = std::max(max_incident[u], r);
-      max_incident[w] = std::max(max_incident[w], r);
-      max_alert_radius = std::max(max_alert_radius, r);
-    }
   }
 
   /// Applies one deleted edge to the incremental structures.
@@ -430,24 +343,6 @@ struct RegionDetector::Impl {
           });
       if (it != edge_cache.end() && it->u == a && it->w == b) {
         edge_cache.erase(it);
-      }
-    }
-    if (use_grid) {
-      const auto rit = edge_radius.find(PairKey(u, w));
-      const double removed = rit != edge_radius.end() ? rit->second : 0.0;
-      if (rit != edge_radius.end()) edge_radius.erase(rit);
-      // The per-user maxima only shrink on deletion; recompute the two
-      // touched users (O(degree)). The global anchor shrinks at most —
-      // recompute only when the deleted edge carried it (rare); a stale
-      // high anchor would still be sound, just coarser cells.
-      max_incident[u] = graph.MaxIncidentRadius(u);
-      max_incident[w] = graph.MaxIncidentRadius(w);
-      if (removed >= max_alert_radius) {
-        max_alert_radius = 0.0;
-        for (const auto& [key, r] : edge_radius) {
-          (void)key;
-          max_alert_radius = std::max(max_alert_radius, r);
-        }
       }
     }
   }
@@ -485,9 +380,9 @@ struct RegionDetector::Impl {
     if (changed && per_epoch_check && self.options_.validate_builds) {
       // The dynamic-graph tests run with validation on: the incremental
       // snapshot must equal a from-scratch re-sort after every batch.
-      const bool snapshot_ok = EdgesEqual(edge_cache, graph.Edges());
-      assert(snapshot_ok);
-      (void)snapshot_ok;
+      if (!EdgesEqual(edge_cache, graph.Edges())) {
+        self.validation_failures_ += 1;
+      }
     }
   }
 
@@ -497,13 +392,6 @@ struct RegionDetector::Impl {
   /// commit). Serial commit: reports, re-centers and dissolutions apply in
   /// sorted-key order, so stats and dissolution side effects are identical
   /// to the historical serial loop for any thread count.
-  ///
-  /// With the index enabled, each match region carries a cell classifier:
-  /// most containment verdicts settle with integer cell compares, and only
-  /// boundary cells run the exact circle predicate. The classifier's
-  /// contract (kInside/kOutside verdicts provably agree with the computed
-  /// Circle::ContainsStrict — DESIGN.md §10) makes pair_inside, and hence
-  /// everything downstream, bit-identical to the exact scan.
   void MatchRegionPhase() {
     // Collect keys first: dissolution mutates the map.
     match_keys.clear();
@@ -516,84 +404,45 @@ struct RegionDetector::Impl {
       const size_t n = match_keys.size();
       pair_inside.assign(n, 0);
       const size_t chunks = n == 0 ? 0 : (n + kPairGrain - 1) / kPairGrain;
-      if (use_match_cls) {
-        if (chunk_work.size() < chunks) chunk_work.resize(chunks);
-        for (size_t c = 0; c < chunks; ++c) chunk_work[c] = ChunkWork{};
-        ParallelForChunked(n, kPairGrain, [&](size_t lo, size_t hi) {
-          ChunkWork& work = chunk_work[lo / kPairGrain];
-          for (size_t k = lo; k < hi; ++k) {
-            const uint64_t key = match_keys[k];
-            const UserId u = PairKeyMin(key);
-            const UserId w = PairKeyMax(key);
-            const Vec2& pu = users[u].pos;
-            const Vec2& pw = users[w].pos;
-            bool inside;
-            work.queries += 1;  // One classified pair.
-            const MatchCellClassifier& cls = match_cls.find(key)->second;
-            const auto vu = cls.Classify(pu);
-            if (vu == MatchCellClassifier::kOutside) {
-              inside = false;
-            } else {
-              const auto vw = cls.Classify(pw);
-              if (vw == MatchCellClassifier::kOutside) {
-                inside = false;
-              } else if (vu == MatchCellClassifier::kInside &&
-                         vw == MatchCellClassifier::kInside) {
-                inside = true;
-              } else {
-                work.candidates += 1;  // Boundary: exact fallback.
-                const MatchRegion& m = matched.find(key)->second;
-                inside = m.Contains(pu) && m.Contains(pw);
-              }
-            }
-            pair_inside[k] = inside;
-          }
-        });
-        for (size_t c = 0; c < chunks; ++c) {
-          match_stats.match_classified += chunk_work[c].queries;
-          match_stats.match_exact += chunk_work[c].candidates;
+      // Both strict containment tests of every pair stage as two adjacent
+      // SoA lanes against the pair's match circle and settle in one
+      // batched kernel call; ANDing the lane verdicts equals the scalar
+      // `Contains(pu) && Contains(pw)` (pure predicates — short-circuiting
+      // is unobservable).
+      if (batch_chunks.size() < chunks) batch_chunks.resize(chunks);
+      ParallelForChunked(n, kPairGrain, [&](size_t lo, size_t hi) {
+        BatchScratch& sc = batch_chunks[lo / kPairGrain];
+        const size_t m = (hi - lo) * 2;
+        sc.ax.resize(m);
+        sc.ay.resize(m);
+        sc.ar.resize(m);
+        sc.bx.resize(m);
+        sc.by.resize(m);
+        sc.flags.resize(m);
+        for (size_t k = lo; k < hi; ++k) {
+          const uint64_t key = match_keys[k];
+          const Circle& c = matched.find(key)->second.circle();
+          const Vec2& pu = users[PairKeyMin(key)].pos;
+          const Vec2& pw = users[PairKeyMax(key)].pos;
+          const size_t j = (k - lo) * 2;
+          sc.ax[j] = sc.ax[j + 1] = c.center.x;
+          sc.ay[j] = sc.ay[j + 1] = c.center.y;
+          sc.ar[j] = sc.ar[j + 1] = c.radius;
+          sc.bx[j] = pu.x;
+          sc.by[j] = pu.y;
+          sc.bx[j + 1] = pw.x;
+          sc.by[j + 1] = pw.y;
         }
-      } else {
-        // Oracle scan (no cell classifiers): both strict containment tests
-        // of every pair stage as two adjacent SoA lanes against the pair's
-        // match circle and settle in one batched kernel call; ANDing the
-        // lane verdicts equals the scalar `Contains(pu) && Contains(pw)`
-        // (pure predicates — short-circuiting is unobservable).
-        if (batch_chunks.size() < chunks) batch_chunks.resize(chunks);
-        ParallelForChunked(n, kPairGrain, [&](size_t lo, size_t hi) {
-          BatchScratch& sc = batch_chunks[lo / kPairGrain];
-          const size_t m = (hi - lo) * 2;
-          sc.ax.resize(m);
-          sc.ay.resize(m);
-          sc.ar.resize(m);
-          sc.bx.resize(m);
-          sc.by.resize(m);
-          sc.flags.resize(m);
-          for (size_t k = lo; k < hi; ++k) {
-            const uint64_t key = match_keys[k];
-            const Circle& c = matched.find(key)->second.circle();
-            const Vec2& pu = users[PairKeyMin(key)].pos;
-            const Vec2& pw = users[PairKeyMax(key)].pos;
-            const size_t j = (k - lo) * 2;
-            sc.ax[j] = sc.ax[j + 1] = c.center.x;
-            sc.ay[j] = sc.ay[j + 1] = c.center.y;
-            sc.ar[j] = sc.ar[j + 1] = c.radius;
-            sc.bx[j] = pu.x;
-            sc.by[j] = pu.y;
-            sc.bx[j + 1] = pw.x;
-            sc.by[j + 1] = pw.y;
-          }
-          SimdScanMetrics::Get().match_batch.Record(static_cast<double>(m));
-          SimdScanMetrics::Get().dispatches.Inc();
-          simd::CirclesContainPoints(sc.ax.data(), sc.ay.data(), sc.ar.data(),
-                                     sc.bx.data(), sc.by.data(), m,
-                                     /*strict=*/true, sc.flags.data());
-          for (size_t k = lo; k < hi; ++k) {
-            const size_t j = (k - lo) * 2;
-            pair_inside[k] = sc.flags[j] != 0 && sc.flags[j + 1] != 0;
-          }
-        });
-      }
+        SimdScanMetrics::Get().match_batch.Record(static_cast<double>(m));
+        SimdScanMetrics::Get().dispatches.Inc();
+        simd::CirclesContainPoints(sc.ax.data(), sc.ay.data(), sc.ar.data(),
+                                   sc.bx.data(), sc.by.data(), m,
+                                   /*strict=*/true, sc.flags.data());
+        for (size_t k = lo; k < hi; ++k) {
+          const size_t j = (k - lo) * 2;
+          pair_inside[k] = sc.flags[j] != 0 && sc.flags[j + 1] != 0;
+        }
+      });
     }
     for (size_t k = 0; k < match_keys.size(); ++k) {
       const uint64_t key = match_keys[k];
@@ -611,10 +460,6 @@ struct RegionDetector::Impl {
       if (d < r) {
         if (self.options_.use_match_regions) {
           it->second = MatchRegion::Make(users[u].pos, users[w].pos, r);
-          if (use_match_cls) {
-            match_cls.insert_or_assign(key,
-                                       MakeClassifier(it->second.circle()));
-          }
           self.stats_.match_installs += 2;
           EngineMetrics::Get().match_installs.Inc(2);
           if (self.link_ != nullptr) {
@@ -700,148 +545,28 @@ struct RegionDetector::Impl {
   /// Moving regions (FMD/CMD) drift toward each other between rebuilds;
   /// the server probes pairs whose regions may now violate the radius.
   ///
-  /// Parallel scan: pair decisions run on the pool, filtered on the
-  /// phase-*start* state (matched set and regions cannot change during this
-  /// phase; needs_region only grows). Serial commit: flagged pairs are
-  /// walked in ascending edge order with the skip conditions re-evaluated
+  /// Parallel scan: every cached edge's region-pair comparison runs on the
+  /// pool into a per-edge slot, filtered on the phase-*start* state
+  /// (matched set and regions cannot change during this phase;
+  /// needs_region only grows). Serial commit: flagged edges are walked in
+  /// slot order — ascending (u, w) — with the skip conditions re-evaluated
   /// against the *current* state, so a probe issued for an earlier edge
   /// suppresses later edges of the same user exactly as the historical
   /// serial loop did.
-  ///
-  /// Two scans produce the flagged set (DESIGN.md §10 argues equality):
-  ///  - exhaustive (the oracle, use_spatial_index = false): every cached
-  ///    edge's (AABB-pruned) region-pair comparison into a per-edge slot,
-  ///    committed in slot order.
-  ///  - grid (default): every user's epoch-resolved region AABB lives in a
-  ///    RegionGridIndex; each user queries the cells its own box inflated
-  ///    by its largest incident alert radius overlaps, and only the u < w
-  ///    side of each candidate pair runs the exact region-pair predicate.
-  ///    Cell-level pruning is sound (box distance never exceeds shape
-  ///    distance; the pad absorbs rounding), so the flagged *set* matches
-  ///    the oracle's; sorting it by pair key — ascending (u, w), the edge
-  ///    snapshot's order — makes the commit *sequence* identical too.
   void PerEpochPairCheck() {
-    if (!use_grid) {
-      const size_t n = edge_cache.size();
-      edge_probe.assign(n, 0);
-      const size_t chunks = n == 0 ? 0 : (n + kEdgeGrain - 1) / kEdgeGrain;
-      if (batch_chunks.size() < chunks) batch_chunks.resize(chunks);
-      ParallelForChunked(n, kEdgeGrain, [&](size_t lo, size_t hi) {
-        // Circle-circle pairs (the only kind FMD/CMD install) stage into
-        // SoA lanes; one batched gap < r kernel call settles the chunk.
-        // ShapeMinDistanceBelow's AABB prune only ever skips exact math
-        // whose outcome is already decided (box distance never exceeds the
-        // shape distance), so the direct exact compare is outcome-identical.
-        // Mixed/other shapes keep the pruned scalar call.
-        BatchScratch& sc = batch_chunks[lo / kEdgeGrain];
-        sc.ids.clear();
-        sc.ax.clear();
-        sc.ay.clear();
-        sc.ar.clear();
-        sc.bx.clear();
-        sc.by.clear();
-        sc.br.clear();
-        sc.thr.clear();
-        for (size_t i = lo; i < hi; ++i) {
-          const auto& e = edge_cache[i];
-          if (IsMatched(e.u, e.w)) continue;
-          if (needs_region(e.u) || needs_region(e.w)) continue;
-          if (!users[e.u].region || !users[e.w].region) continue;
-          Circle ca, cb;
-          if (AsCircleAt(*users[e.u].region, epoch, &ca) &&
-              AsCircleAt(*users[e.w].region, epoch, &cb)) {
-            sc.ids.push_back(static_cast<uint32_t>(i));
-            sc.ax.push_back(ca.center.x);
-            sc.ay.push_back(ca.center.y);
-            sc.ar.push_back(ca.radius);
-            sc.bx.push_back(cb.center.x);
-            sc.by.push_back(cb.center.y);
-            sc.br.push_back(cb.radius);
-            sc.thr.push_back(e.alert_radius);
-          } else {
-            edge_probe[i] = ShapeMinDistanceBelow(
-                *users[e.u].region, *users[e.w].region, epoch, e.alert_radius);
-          }
-        }
-        const size_t m = sc.ids.size();
-        sc.flags.resize(m);
-        SimdScanMetrics::Get().pair_check_batch.Record(static_cast<double>(m));
-        SimdScanMetrics::Get().dispatches.Inc();
-        simd::CirclePairsGapBelow(sc.ax.data(), sc.ay.data(), sc.ar.data(),
-                                  sc.bx.data(), sc.by.data(), sc.br.data(),
-                                  sc.thr.data(), m, sc.flags.data());
-        for (size_t k = 0; k < m; ++k) {
-          edge_probe[sc.ids[k]] = sc.flags[k];
-        }
-      });
-      for (size_t i = 0; i < n; ++i) {
-        if (!edge_probe[i]) continue;
-        const auto& e = edge_cache[i];
-        // Re-check with commit-time state: earlier probes may have flagged
-        // an endpoint for rebuild, which skips the pair just as the serial
-        // loop would have.
-        if (IsMatched(e.u, e.w)) continue;
-        if (needs_region(e.u) || needs_region(e.w)) continue;
-        EngineMetrics::Get().pair_check_probed_edges.Inc();
-        Probe(e.u);
-        Probe(e.w);
-      }
-      return;
-    }
-
-    // --- Grid path ---
-    // Cell size tracks the radius regime; SetCellSize is a no-op when
-    // unchanged, so this only rebuckets after a regime-shifting graph
-    // update.
-    region_grid.SetCellSize(max_alert_radius > 0.0 ? max_alert_radius : 1.0);
-    // Maintenance (serial — the parallel scan below reads the grid): move
-    // every installed region to the cells its AABB covers *this epoch*
-    // (moving circles drift). Regions without usable bounds fall back to an
-    // adjacency scan; absent regions simply leave the grid.
-    unindexed.clear();
-    circ_x.resize(users.size());
-    circ_y.resize(users.size());
-    circ_r.resize(users.size());
-    circ_ok.assign(users.size(), 0);
-    for (UserId u = 0; u < static_cast<UserId>(users.size()); ++u) {
-      BBox box;
-      if (users[u].region && ShapeBoundsAt(*users[u].region, epoch, &box)) {
-        region_grid.Upsert(u, box);
-        // Resolve the circle form once; the parallel scan below reads the
-        // plain arrays instead of revisiting the variant per pair.
-        Circle c;
-        if (AsCircleAt(*users[u].region, epoch, &c)) {
-          circ_x[u] = c.center.x;
-          circ_y[u] = c.center.y;
-          circ_r[u] = c.radius;
-          circ_ok[u] = 1;
-        }
-      } else {
-        region_grid.Remove(u);
-        if (users[u].region) unindexed.push_back(u);
-      }
-    }
-    const size_t n = users.size();
-    const size_t chunks = n == 0 ? 0 : (n + kQueryGrain - 1) / kQueryGrain;
-    if (flag_chunks.size() < chunks) flag_chunks.resize(chunks);
-    if (cand_bufs.size() < chunks) cand_bufs.resize(chunks);
-    if (chunk_work.size() < chunks) chunk_work.resize(chunks);
+    const size_t n = edge_cache.size();
+    edge_probe.assign(n, 0);
+    const size_t chunks = n == 0 ? 0 : (n + kEdgeGrain - 1) / kEdgeGrain;
     if (batch_chunks.size() < chunks) batch_chunks.resize(chunks);
-    for (size_t c = 0; c < chunks; ++c) chunk_work[c] = ChunkWork{};
-    ParallelForChunked(n, kQueryGrain, [&](size_t lo, size_t hi) {
-      const size_t chunk = lo / kQueryGrain;
-      std::vector<uint64_t>& out = flag_chunks[chunk];
-      std::vector<int32_t>& cand = cand_bufs[chunk];
-      ChunkWork& work = chunk_work[chunk];
-      BatchScratch& sc = batch_chunks[chunk];
-      out.clear();
-      // Candidate pairs whose regions both have circle form stage into SoA
-      // lanes across the whole chunk and settle with one batched
-      // gap < r kernel call (outcome-identical to the AABB-pruned
-      // ShapeMinDistanceBelow — the prune only skips already-decided exact
-      // math). The flagged set is sorted downstream, so deferring the
-      // kernel verdicts to the end of the chunk reorders nothing.
-      sc.keys.clear();
+    ParallelForChunked(n, kEdgeGrain, [&](size_t lo, size_t hi) {
+      // Circle-circle pairs (the only kind FMD/CMD install) stage into SoA
+      // lanes; one batched gap < r kernel call settles the chunk.
+      // ShapeMinDistanceBelow's AABB prune only ever skips exact math whose
+      // outcome is already decided (box distance never exceeds the shape
+      // distance), so the direct exact compare is outcome-identical.
+      // Mixed/other shapes keep the pruned scalar call.
+      BatchScratch& sc = batch_chunks[lo / kEdgeGrain];
+      sc.ids.clear();
       sc.ax.clear();
       sc.ay.clear();
       sc.ar.clear();
@@ -849,43 +574,31 @@ struct RegionDetector::Impl {
       sc.by.clear();
       sc.br.clear();
       sc.thr.clear();
-      for (size_t ui = lo; ui < hi; ++ui) {
-        const UserId u = static_cast<UserId>(ui);
-        if (!users[u].region || needs_region(u)) continue;
-        if (!region_grid.Contains(u)) continue;  // Degenerate bounds.
-        const double slack = max_incident[u];
-        if (slack <= 0.0) continue;  // Isolated user: no edges to check.
-        cand.clear();
-        work.queries += 1;
-        work.cells += region_grid.Query(region_grid.BoxOf(u), slack, &cand);
-        // Multi-cell boxes repeat in the candidate list; dedupe before the
-        // exact predicates.
-        std::sort(cand.begin(), cand.end());
-        cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-        work.candidates += cand.size();
-        for (const int32_t w : cand) {
-          if (w <= static_cast<int32_t>(u)) continue;
-          const auto it = edge_radius.find(PairKey(u, w));
-          if (it == edge_radius.end()) continue;  // Near, but no edge.
-          if (needs_region(w) || !users[w].region) continue;
-          if (IsMatched(u, w)) continue;
-          if (circ_ok[u] && circ_ok[w]) {
-            sc.keys.push_back(PairKey(u, w));
-            sc.ax.push_back(circ_x[u]);
-            sc.ay.push_back(circ_y[u]);
-            sc.ar.push_back(circ_r[u]);
-            sc.bx.push_back(circ_x[w]);
-            sc.by.push_back(circ_y[w]);
-            sc.br.push_back(circ_r[w]);
-            sc.thr.push_back(it->second);
-          } else if (ShapeMinDistanceBelow(*users[u].region,
-                                           *users[w].region, epoch,
-                                           it->second)) {
-            out.push_back(PairKey(u, w));
-          }
+      uint64_t scalar_calls = 0;
+      for (size_t i = lo; i < hi; ++i) {
+        const auto& e = edge_cache[i];
+        if (IsMatched(e.u, e.w)) continue;
+        if (needs_region(e.u) || needs_region(e.w)) continue;
+        if (!users[e.u].region || !users[e.w].region) continue;
+        Circle ca, cb;
+        if (AsCircleAt(*users[e.u].region, epoch, &ca) &&
+            AsCircleAt(*users[e.w].region, epoch, &cb)) {
+          sc.ids.push_back(static_cast<uint32_t>(i));
+          sc.ax.push_back(ca.center.x);
+          sc.ay.push_back(ca.center.y);
+          sc.ar.push_back(ca.radius);
+          sc.bx.push_back(cb.center.x);
+          sc.by.push_back(cb.center.y);
+          sc.br.push_back(cb.radius);
+          sc.thr.push_back(e.alert_radius);
+        } else {
+          scalar_calls += 1;
+          edge_probe[i] = ShapeMinDistanceBelow(
+              *users[e.u].region, *users[e.w].region, epoch, e.alert_radius);
         }
       }
-      const size_t m = sc.keys.size();
+      const size_t m = sc.ids.size();
+      sc.evaluated = m + scalar_calls;
       sc.flags.resize(m);
       SimdScanMetrics::Get().pair_check_batch.Record(static_cast<double>(m));
       SimdScanMetrics::Get().dispatches.Inc();
@@ -893,51 +606,39 @@ struct RegionDetector::Impl {
                                 sc.bx.data(), sc.by.data(), sc.br.data(),
                                 sc.thr.data(), m, sc.flags.data());
       for (size_t k = 0; k < m; ++k) {
-        if (sc.flags[k]) out.push_back(sc.keys[k]);
+        edge_probe[sc.ids[k]] = sc.flags[k];
       }
     });
-    // Fallback for unindexable regions (degenerate bounds — impossible for
-    // the moving circles that reach this phase, but soundness must not rest
-    // on that): their pairs are scanned by adjacency. Covers the indexed
-    // side of mixed pairs too, since the grid never saw this user.
-    flagged.clear();
-    for (const UserId u : unindexed) {
-      if (needs_region(u)) continue;
-      for (const FriendEdge& fe : graph.FriendsOf(u)) {
-        const UserId w = fe.other;
-        if (!users[w].region || needs_region(w)) continue;
-        if (IsMatched(u, w)) continue;
-        if (ShapeMinDistanceBelow(*users[u].region, *users[w].region, epoch,
-                                  fe.alert_radius)) {
-          flagged.push_back(PairKey(u, w));
-        }
+    for (size_t c = 0; c < chunks; ++c) {
+      pair_candidates += batch_chunks[c].evaluated;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (!edge_probe[i]) continue;
+      const auto& e = edge_cache[i];
+      // Re-check with commit-time state: earlier probes may have flagged an
+      // endpoint for rebuild, which skips the pair just as the serial loop
+      // would have.
+      if (IsMatched(e.u, e.w)) continue;
+      if (needs_region(e.u) || needs_region(e.w)) continue;
+      EngineMetrics::Get().pair_check_probed_edges.Inc();
+      Probe(e.u);
+      Probe(e.w);
+    }
+  }
+
+  /// True when some friend view's region already lies within the pair's
+  /// alert radius of `l_u` (a reported friend keeps its installed region
+  /// unless it rebuilds). No region containing l_u can then satisfy the
+  /// policy contract; policies fall back to a zero-radius region, so
+  /// validate_builds only checks the builds that had room.
+  bool Squeezed(const Vec2& l_u) const {
+    for (const FriendView& view : friend_views) {
+      if (ShapeDistanceToPointBelow(view.region(), l_u, epoch,
+                                    view.alert_radius)) {
+        return true;
       }
     }
-    for (size_t c = 0; c < chunks; ++c) {
-      flagged.insert(flagged.end(), flag_chunks[c].begin(),
-                     flag_chunks[c].end());
-    }
-    // Normalize: bucket enumeration order is maintenance-dependent (and
-    // both-degenerate pairs flag twice), so sort + unique onto the edge
-    // snapshot's ascending-(u, w) order before committing.
-    std::sort(flagged.begin(), flagged.end());
-    flagged.erase(std::unique(flagged.begin(), flagged.end()), flagged.end());
-    for (const uint64_t key : flagged) {
-      const UserId u = PairKeyMin(key);
-      const UserId w = PairKeyMax(key);
-      if (IsMatched(u, w)) continue;
-      if (needs_region(u) || needs_region(w)) continue;
-      EngineMetrics::Get().pair_check_probed_edges.Inc();
-      Probe(u);
-      Probe(w);
-    }
-    ChunkWork total;
-    for (size_t c = 0; c < chunks; ++c) {
-      total.queries += chunk_work[c].queries;
-      total.cells += chunk_work[c].cells;
-      total.candidates += chunk_work[c].candidates;
-    }
-    region_grid.RecordQuery(total.queries, total.cells, total.candidates);
+    return false;
   }
 
   /// Serialized rebuild loop: pops users needing a region, probes friends
@@ -1002,13 +703,13 @@ struct RegionDetector::Impl {
       SafeRegionShape shape =
           self.policy_->BuildRegion(u, l_u, window_buf, v_u, friend_views,
                                     epoch);
-      if (self.options_.validate_builds) {
-        assert(ShapeContains(shape, l_u, epoch));
+      if (self.options_.validate_builds && !Squeezed(l_u)) {
+        bool sound = ShapeContains(shape, l_u, epoch);
         for (const FriendView& view : friend_views) {
           const double d = ShapeMinDistance(shape, view.region(), epoch);
-          assert(d >= view.alert_radius - 1e-6);
-          (void)d;
+          if (d < view.alert_radius - 1e-6) sound = false;
         }
+        if (!sound) self.validation_failures_ += 1;
       }
       if (self.link_ != nullptr) self.link_->InstallRegion(u, epoch, shape);
       users[u].region = std::move(shape);
@@ -1081,22 +782,11 @@ void RegionDetector::Run(const World& world) {
   phase_times_ = PhaseTimes();
   alerts_.clear();
   rebuild_count_ = 0;
+  validation_failures_ = 0;
   index_stats_ = SpatialIndexStats();
   Impl impl(world, *this);
   impl.Run();
-  index_stats_ = impl.region_grid.stats();
-  index_stats_ += impl.match_stats;
-  if (options_.use_spatial_index) {
-    const IndexMetrics& m = IndexMetrics::Get();
-    m.upserts.Inc(index_stats_.upserts);
-    m.moves.Inc(index_stats_.moves);
-    m.rebuilds.Inc(index_stats_.rebuilds);
-    m.queries.Inc(index_stats_.queries);
-    m.cells_probed.Inc(index_stats_.cells_probed);
-    m.candidates.Inc(index_stats_.candidates);
-    m.match_classified.Inc(index_stats_.match_classified);
-    m.match_exact.Inc(index_stats_.match_exact);
-  }
+  index_stats_.candidates = impl.pair_candidates;
 }
 
 }  // namespace proxdet

@@ -69,6 +69,13 @@ class RegionPolicy {
 
 /// The generic safe-region + match-region protocol of Algorithm 1, with
 /// message accounting. See DESIGN.md §5 for the message taxonomy.
+///
+/// Server-side scans are exhaustive and batched: the match-region check
+/// visits every matched pair, the exit check every user, and — for moving
+/// regions (FMD/CMD) — the per-epoch pair check every interest edge, in
+/// an incrementally maintained edge snapshot. The interest graph is sparse,
+/// so the O(edges) scan is the paper's own per-pair cost and needs no
+/// spatial index (DESIGN.md §10).
 class RegionDetector : public Detector {
  public:
   struct Options {
@@ -86,20 +93,19 @@ class RegionDetector : public Detector {
     /// Recent-window length attached to reports (predictor input; the
     /// paper fixes input length 10).
     size_t window = 10;
-    /// When true, every rebuilt region is validated against all effective
-    /// friend constraints (used by tests; costs an extra distance pass).
+    /// When true, every rebuilt region is checked against the soundness
+    /// contract (it contains the user and clears every friend constraint),
+    /// and the incremental edge snapshot against a from-scratch
+    /// graph.Edges() after each graph-update batch. Violations are counted
+    /// into validation_failures(); tests expect 0. Builds squeezed by a
+    /// friend region already within the alert radius of the user have no
+    /// sound region to return and are not checked. Costs an extra distance
+    /// pass per build.
     bool validate_builds = false;
     /// Ablation switch: disable Def. 3 match regions. Matched pairs then
     /// report every epoch until they separate (the naive fallback the match
     /// region was designed to avoid).
     bool use_match_regions = true;
-    /// false selects the exhaustive scans (every edge's region-pair
-    /// distance in the per-epoch pair check; exact circle math for every
-    /// matched pair) — the oracles the grid paths are verified against.
-    /// The flag only changes *how* candidates are enumerated, never the
-    /// outputs: alerts, CommStats and rebuild counts are bit-exact either
-    /// way (property-tested, and enforced by bench/micro_index).
-    bool use_spatial_index = true;
   };
 
   explicit RegionDetector(std::unique_ptr<RegionPolicy> policy);
@@ -112,16 +118,21 @@ class RegionDetector : public Detector {
   /// Number of safe-region constructions performed (diagnostics).
   uint64_t rebuild_count() const { return rebuild_count_; }
 
-  /// Work counters of the last Run's grid paths (all zero with
-  /// use_spatial_index = false); mirrors the engine.index.* obs counters
-  /// to the unit (see bench_support/obs_artifacts.h).
+  /// Work counters of the last Run's per-epoch pair check: `candidates`
+  /// is the number of region-pair predicates the edge scan evaluated (0
+  /// for static-region policies, which never run it).
   const SpatialIndexStats& index_stats() const { return index_stats_; }
+
+  /// Soundness-check violations seen by the last Run (always 0 unless
+  /// Options::validate_builds is set).
+  uint64_t validation_failures() const { return validation_failures_; }
 
  private:
   struct Impl;
   std::unique_ptr<RegionPolicy> policy_;
   Options options_;
   uint64_t rebuild_count_ = 0;
+  uint64_t validation_failures_ = 0;
   SpatialIndexStats index_stats_;
 };
 

@@ -231,13 +231,8 @@ const std::vector<AlertEvent>& Workload::GroundTruth() const {
 std::unique_ptr<Detector> MakeDetector(Method method, const Workload& workload,
                                        RegionDetector::Options options) {
   switch (method) {
-    case Method::kNaive: {
-      // The engine-wide index switch applies to the baseline too, so one
-      // flag flips a whole run (any method) onto the exhaustive oracles.
-      NaiveDetector::Options nopts;
-      nopts.use_spatial_index = options.use_spatial_index;
-      return std::make_unique<NaiveDetector>(nopts);
-    }
+    case Method::kNaive:
+      return std::make_unique<NaiveDetector>();
     case Method::kStatic:
       return std::make_unique<RegionDetector>(
           std::make_unique<StaticPolygonPolicy>(), options);
@@ -302,6 +297,7 @@ RunResult RunMethod(Method method, const Workload& workload,
   result.stats = detector->stats();
   if (const auto* rd = dynamic_cast<const RegionDetector*>(detector.get())) {
     result.rebuild_count = rd->rebuild_count();
+    result.validation_failures = rd->validation_failures();
   }
   const std::vector<AlertEvent> alerts = detector->SortedAlerts();
   result.alert_count = alerts.size();

@@ -140,6 +140,9 @@ struct RunResult {
   /// Safe-region constructions performed (0 for Naive); part of the
   /// bit-exact determinism contract across thread counts.
   uint64_t rebuild_count = 0;
+  /// RegionDetector soundness-check violations (0 for Naive; always 0
+  /// unless Options::validate_builds is set).
+  uint64_t validation_failures = 0;
   /// Whether the detector's alert stream matched the ground truth exactly
   /// (the correctness contract; always checked).
   bool alerts_exact = false;

@@ -53,22 +53,6 @@ double InterestGraph::AlertRadius(UserId u, UserId w) const {
   return 0.0;
 }
 
-double InterestGraph::MaxAlertRadius() const {
-  double max_r = 0.0;
-  for (const auto& adj : adjacency_) {
-    for (const FriendEdge& e : adj) max_r = std::max(max_r, e.alert_radius);
-  }
-  return max_r;
-}
-
-double InterestGraph::MaxIncidentRadius(UserId u) const {
-  double max_r = 0.0;
-  for (const FriendEdge& e : adjacency_[u]) {
-    max_r = std::max(max_r, e.alert_radius);
-  }
-  return max_r;
-}
-
 bool InterestGraph::AddEdge(UserId u, UserId w, double alert_radius) {
   if (u == w || u < 0 || w < 0) return false;
   if (static_cast<size_t>(u) >= adjacency_.size() ||

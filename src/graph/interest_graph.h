@@ -45,15 +45,6 @@ class InterestGraph {
   /// Alert radius of the (u, w) edge; 0 when absent.
   double AlertRadius(UserId u, UserId w) const;
 
-  /// Largest alert radius over all edges (0 for an edgeless graph) — the
-  /// cell-size anchor of the detectors' uniform-grid indexes.
-  double MaxAlertRadius() const;
-
-  /// Largest alert radius among u's incident edges (0 when isolated) —
-  /// the per-user candidate query radius: any friend within its pair's
-  /// alert radius of u is certainly within this distance.
-  double MaxIncidentRadius(UserId u) const;
-
   /// Adds an undirected edge; no-op (returns false) when it already exists
   /// or u == w.
   bool AddEdge(UserId u, UserId w, double alert_radius);

@@ -137,10 +137,6 @@ ShardedFrontend::ShardedFrontend(const World& world, const NetConfig& config)
         shard.mesh_id != user_count + 2 * s + 1) {
       failed_ = true;
     }
-    // One grid cell per largest alert radius (the detectors' anchor too),
-    // so a shard-local radius query touches a bounded cell neighborhood.
-    const double max_r = graph_.MaxAlertRadius();
-    shard.index.SetCellSize(max_r > 0.0 ? max_r : 1.0);
     const std::string prefix = "net.shard" + std::to_string(s);
     obs::Counter& shard_down =
         obs::Metrics().GetCounter(prefix + ".bytes_down");
@@ -298,9 +294,6 @@ void ShardedFrontend::Report(UserId u, int epoch, size_t window_len,
   const std::optional<TraceCtx> report_ctx =
       shards_[home_[u]].server->report_trace(u);
   ForwardDigests(msg, report_ctx.has_value() ? &*report_ctx : nullptr);
-  // The home shard indexes its own users by the position it decoded —
-  // never a foreign user, and never the engine's direct-read mirror.
-  shards_[home_[u]].index.Upsert(u, msg.position);
   // Hand the engine the payload *as the server decoded it* — the codec's
   // exactness, not a shortcut, is what makes the transported run
   // bit-identical to the in-process one.

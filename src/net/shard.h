@@ -9,7 +9,6 @@
 #include <set>
 #include <vector>
 
-#include "core/spatial_index.h"
 #include "graph/interest_graph.h"
 #include "net/latency.h"
 #include "net/transport.h"
@@ -108,15 +107,6 @@ class ShardedFrontend {
   /// Bound port of the live introspection endpoint, or -1 when disabled.
   int stats_port() const;
 
-  /// The shard's uniform-grid index over the last decoded report position
-  /// of each *owned* user (foreign users never enter it — cross-shard
-  /// digests stay in the digest store). Serving-plane reads (e.g. future
-  /// shard-local candidate enumeration) query this instead of scanning the
-  /// partition; shard_test pins its contents to the decoded reports.
-  const UniformGridIndex& shard_index(int shard) const {
-    return shards_[shard].index;
-  }
-
  private:
   /// One serving partition: the client-facing ProtocolServer plus the mesh
   /// endpoint for shard-to-shard digests and relays.
@@ -125,10 +115,6 @@ class ShardedFrontend {
     std::unique_ptr<ReliableEndpoint> mesh;
     int mesh_id = -1;
     std::vector<UserId> users;  // Sorted; the ring partition.
-    /// Owned users' last decoded report positions, bucketed by cell
-    /// (incrementally upserted as reports decode; cell size anchored to
-    /// the interest graph's largest alert radius).
-    UniformGridIndex index;
   };
 
   /// What the engine has told this client so far — updated at engine-call

@@ -30,12 +30,14 @@ TEST_P(DetectorDatasetTest, AlertStreamMatchesGroundTruthExactly) {
   const auto [dataset, method] = GetParam();
   const Workload workload = BuildWorkload(SmallConfig(dataset, 404));
   RegionDetector::Options options;
-  options.validate_builds = true;  // Assert the soundness contract too.
+  options.validate_builds = true;  // Check the soundness contract too.
   const RunResult result = RunMethod(method, workload, options);
   EXPECT_TRUE(result.alerts_exact)
       << MethodName(method) << " missed or invented alerts on "
       << DatasetName(dataset) << " (got " << result.alert_count << ", want "
       << workload.ground_truth.size() << ")";
+  EXPECT_EQ(0u, result.validation_failures)
+      << MethodName(method) << " on " << DatasetName(dataset);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -82,13 +84,14 @@ TEST(DetectorIntegrationTest, DynamicInsertionsStayExact) {
           {epoch, true, u, w, workload.config.alert_radius_m});
     }
   }
-  // validate_builds also asserts the incremental edge snapshot equals a
+  // validate_builds also checks the incremental edge snapshot equals a
   // from-scratch graph.Edges() after every update batch.
   RegionDetector::Options options;
   options.validate_builds = true;
   for (const Method m : {Method::kNaive, Method::kCmd, Method::kStripeKf}) {
     const RunResult r = RunMethod(m, workload, options);
     EXPECT_TRUE(r.alerts_exact) << MethodName(m);
+    EXPECT_EQ(0u, r.validation_failures) << MethodName(m);
   }
 }
 
@@ -101,13 +104,14 @@ TEST(DetectorIntegrationTest, DynamicDeletionsStayExact) {
     workload.world.ScheduleUpdate(
         {30, false, edges[i].u, edges[i].w, 0.0});
   }
-  // validate_builds also asserts the incremental edge snapshot equals a
+  // validate_builds also checks the incremental edge snapshot equals a
   // from-scratch graph.Edges() after every update batch.
   RegionDetector::Options options;
   options.validate_builds = true;
   for (const Method m : {Method::kNaive, Method::kFmd, Method::kStripeKf}) {
     const RunResult r = RunMethod(m, workload, options);
     EXPECT_TRUE(r.alerts_exact) << MethodName(m);
+    EXPECT_EQ(0u, r.validation_failures) << MethodName(m);
   }
 }
 

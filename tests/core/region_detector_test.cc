@@ -142,6 +142,36 @@ TEST(RegionDetectorTest, ProbeFreesSpaceHoggedByStaleRegion) {
   EXPECT_GT(detector->stats().probes, 0u);
 }
 
+/// Deliberately unsound: a huge circle that ignores every friend.
+class FriendBlindPolicy : public RegionPolicy {
+ public:
+  std::string name() const override { return "FriendBlind"; }
+  SafeRegionShape BuildRegion(UserId, const Vec2& location,
+                              const std::vector<Vec2>&, double,
+                              const std::vector<FriendView>&, int) override {
+    return Circle{location, 1e6};
+  }
+};
+
+TEST(RegionDetectorTest, ValidateBuildsCountsUnsoundRegions) {
+  // The check must run in release builds too: a policy that breaks the
+  // friend-clearance contract is counted, and only when asked for.
+  std::vector<Trajectory> trajs;
+  trajs.push_back(LineFrom(0, 0, 0, 11));
+  trajs.push_back(LineFrom(5000, 0, 0, 11));
+  InterestGraph g(2);
+  g.AddEdge(0, 1, 1000.0);
+  const World world(std::move(trajs), std::move(g), 1, 10);
+  RegionDetector::Options options;
+  options.validate_builds = true;
+  RegionDetector checked(std::make_unique<FriendBlindPolicy>(), options);
+  checked.Run(world);
+  EXPECT_GT(checked.validation_failures(), 0u);
+  RegionDetector unchecked(std::make_unique<FriendBlindPolicy>());
+  unchecked.Run(world);
+  EXPECT_EQ(unchecked.validation_failures(), 0u);
+}
+
 TEST(RegionDetectorTest, NameComesFromPolicy) {
   auto detector = MakeStripeDetector();
   EXPECT_EQ(detector->name(), "Stripe+Linear");

@@ -96,6 +96,7 @@ TEST(SimulationTest, Eq8AblationStaysExact) {
       std::make_unique<StripePolicy>(std::move(predictor), sopts), options);
   detector.Run(workload.world);
   EXPECT_EQ(detector.SortedAlerts(), workload.ground_truth);
+  EXPECT_EQ(0u, detector.validation_failures());
 }
 
 TEST(SimulationTest, DefaultExperimentConfigMatchesTable2Defaults) {

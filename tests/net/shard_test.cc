@@ -271,35 +271,6 @@ TEST(ShardStatsTest, PerShardSumsEqualGlobals) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-shard spatial index: each shard buckets exactly its *owned* users,
-// keyed by the positions the server decoded off the wire — never a foreign
-// user, never the engine's direct-read mirror.
-
-TEST(ShardIndexTest, PerShardIndexHoldsOwnedUsersDecodedReports) {
-  const Workload& workload = SharedWorkload();
-  const int shards = 3;
-  TransportLink link(workload.world, Sharded(shards, true, true));
-  // Naive reports every user every epoch, so after the run each shard's
-  // index must hold its whole partition at the final epoch's positions
-  // (codec round-trips are exact, so decoded == world).
-  NaiveDetector detector;
-  detector.set_link(&link);
-  detector.Run(workload.world);
-  const ShardedFrontend& frontend = link.frontend();
-  const int last_epoch = workload.world.epochs() - 1;
-  size_t indexed = 0;
-  for (int s = 0; s < shards; ++s) {
-    const auto entries = frontend.shard_index(s).SortedEntries();
-    indexed += entries.size();
-    for (const auto& [u, p] : entries) {
-      EXPECT_EQ(frontend.home_shard(u), s) << "foreign user in shard " << s;
-      EXPECT_EQ(p, workload.world.Position(u, last_epoch)) << "user " << u;
-    }
-  }
-  EXPECT_EQ(indexed, workload.world.user_count());
-}
-
-// ---------------------------------------------------------------------------
 // Batched + sharded over a hostile mesh (drop + dup + jitter): still exact.
 
 TEST(ShardLossTest, BatchedShardedSurvivesLossDupAndReorder) {

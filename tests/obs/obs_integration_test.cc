@@ -119,40 +119,24 @@ TEST(ObsIntegrationTest, CountersReconcileWithCommStats) {
             std::string::npos);
 }
 
-TEST(ObsIntegrationTest, IndexCountersReconcileWithDetectorStats) {
+TEST(ObsIntegrationTest, PairCheckCandidatesReconcileWithBatchHistogram) {
   obs::Metrics().Reset();
-  // CMD exercises every index surface: region grid (per-epoch pair check),
-  // match classifiers, and the incremental maintenance counters.
-  RegionDetector::Options options;  // use_spatial_index defaults to true.
+  // CMD installs only circle-form regions, so every region-pair predicate
+  // the edge scan evaluates is one lane of the batched pair-check kernel:
+  // index_stats().candidates must equal the lanes the histogram recorded.
   std::unique_ptr<Detector> detector =
-      MakeDetector(Method::kCmd, SharedWorkload(), options);
+      MakeDetector(Method::kCmd, SharedWorkload());
   detector->Run(SharedWorkload().world);
   const auto* rd = dynamic_cast<const RegionDetector*>(detector.get());
   ASSERT_NE(rd, nullptr);
   const SpatialIndexStats& stats = rd->index_stats();
-  EXPECT_GT(stats.upserts, 0u);
-  EXPECT_GT(stats.queries, 0u);
+  EXPECT_GT(stats.candidates, 0u);
+  EXPECT_EQ(stats.cells_probed, 0u);
 
   const obs::MetricsSnapshot snap = obs::Metrics().Snapshot();
-  std::string error;
-  EXPECT_TRUE(ReconcileIndexStats(snap, stats, &error)) << error;
-  EXPECT_EQ(snap.counters.at("engine.index.upserts").second, stats.upserts);
-  EXPECT_EQ(snap.counters.at("engine.index.queries").second, stats.queries);
-
-  // Tampering is detected field-by-field.
-  SpatialIndexStats tampered = stats;
-  tampered.cells_probed += 1;
-  error.clear();
-  EXPECT_FALSE(ReconcileIndexStats(snap, tampered, &error));
-  EXPECT_NE(error.find("engine.index.cells_probed"), std::string::npos);
-
-  // The report section carries every index counter.
-  obs::RunReport report = MakeRunReport("obs_index", detector->stats());
-  AddIndexSection(&report, stats);
-  const std::string json = report.ToJson();
-  EXPECT_NE(json.find("\"cells_probed\": " +
-                      std::to_string(stats.cells_probed)),
-            std::string::npos);
+  const obs::Histogram& lanes =
+      snap.histograms.at("simd.batch.pair_check").value;
+  EXPECT_EQ(static_cast<uint64_t>(lanes.sum()), stats.candidates);
 }
 
 TEST(ObsIntegrationTest, ReconciliationDetectsTampering) {
