@@ -43,12 +43,19 @@
 # every lane's intermediate math has to be well-defined even where a mask
 # discards it, including the pair check's batched gap < r lanes.
 #
+# A fifth leg runs the protocol and observability suites — `net`, `shard`,
+# `latency`, `socket` and `obs` — under -DPROXDET_SANITIZE=address. The
+# transport recycles frame buffers through a pool, keeps pending frames in
+# per-peer ring slots, decodes into a per-thread scratch frame and records
+# protocol events into fixed ring arrays: a use-after-free or an overrun in
+# any of them shows up here.
+#
 #   scripts/check.sh [extra cmake args...]
 #
-# BUILD_DIR / OBS_OFF_BUILD_DIR / SIMD_OFF_BUILD_DIR / UBSAN_BUILD_DIR
-# override the build trees (defaults: build-tsan, build-obs-off,
-# build-simd-off and build-ubsan, kept separate from the plain `build`
-# tree so the configurations never fight).
+# BUILD_DIR / OBS_OFF_BUILD_DIR / SIMD_OFF_BUILD_DIR / UBSAN_BUILD_DIR /
+# ASAN_BUILD_DIR override the build trees (defaults: build-tsan,
+# build-obs-off, build-simd-off, build-ubsan and build-asan, kept separate
+# from the plain `build` tree so the configurations never fight).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,6 +63,7 @@ BUILD_DIR="${BUILD_DIR:-build-tsan}"
 OBS_OFF_BUILD_DIR="${OBS_OFF_BUILD_DIR:-build-obs-off}"
 SIMD_OFF_BUILD_DIR="${SIMD_OFF_BUILD_DIR:-build-simd-off}"
 UBSAN_BUILD_DIR="${UBSAN_BUILD_DIR:-build-ubsan}"
+ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 JOBS="$(nproc)"
 LABELS='sanitize|net|obs|shard|pair_check|simd|socket|latency|scale'
 
@@ -75,3 +83,8 @@ ctest --test-dir "$SIMD_OFF_BUILD_DIR" -L "$LABELS" --output-on-failure -j "$JOB
 cmake -B "$UBSAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=undefined "$@"
 cmake --build "$UBSAN_BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$UBSAN_BUILD_DIR" -L 'simd|pair_check' --output-on-failure -j "$JOBS"
+
+cmake -B "$ASAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=address "$@"
+cmake --build "$ASAN_BUILD_DIR" -j "$JOBS"
+ctest --test-dir "$ASAN_BUILD_DIR" -L 'net|shard|latency|socket|obs' \
+  --output-on-failure -j "$JOBS"

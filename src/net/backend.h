@@ -1,12 +1,71 @@
 #ifndef PROXDET_NET_BACKEND_H_
 #define PROXDET_NET_BACKEND_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 namespace proxdet {
 namespace net {
+
+/// Recycled frame buffers, addressed by handle (>= 1). A released buffer
+/// keeps its capacity for the next Acquire, so steady-state traffic encodes
+/// and queues frames without touching the allocator; the pool holds as many
+/// buffers as were ever in use at once (an epoch barrier flushing every
+/// touched client sets that peak). Buffers never move once created (deque
+/// storage): a reference stays valid while other buffers are acquired,
+/// which lets a backend copy one pooled frame into another. Driver-thread
+/// only, like everything else above the backend.
+class FramePool {
+ public:
+  /// Handle of an empty buffer.
+  uint32_t Acquire() {
+    if (free_.empty()) {
+      buffers_.emplace_back();
+      return static_cast<uint32_t>(buffers_.size());
+    }
+    const uint32_t handle = free_.back();
+    free_.pop_back();
+    return handle;
+  }
+  /// Returns the buffer to the pool: contents discarded, capacity kept.
+  void Release(uint32_t handle) {
+    (*this)[handle].clear();
+    free_.push_back(handle);
+  }
+  std::vector<uint8_t>& operator[](uint32_t handle) {
+    return buffers_[handle - 1];
+  }
+
+ private:
+  std::deque<std::vector<uint8_t>> buffers_;
+  std::vector<uint32_t> free_;
+};
+
+/// Receiver of typed retry timers (ReliableEndpoint). A retry timer for
+/// (dst, seq) is *live* exactly while that send still awaits its ack:
+/// RetryLive is the backend's cancellation test, so retiring a send by its
+/// ack is all it takes to cancel the timer.
+class RetryTarget {
+ public:
+  virtual bool RetryLive(int dst, uint64_t seq) const = 0;
+  /// The timer fired: attempt `attempt` of (dst, seq) is due.
+  virtual void OnRetry(int dst, uint64_t seq, int attempt) = 0;
+
+ protected:
+  ~RetryTarget() = default;
+};
+
+/// One armed retry: plain data, no closure.
+struct RetryTimer {
+  RetryTarget* target = nullptr;
+  int dst = -1;
+  int attempt = 0;
+  uint64_t seq = 0;
+};
 
 /// Transport substrate behind the frame interface. Two implementations:
 /// the deterministic event-driven SimNet (virtual time, seeded impairment,
@@ -19,12 +78,13 @@ namespace net {
 ///
 /// Contract, common to both backends:
 ///  - Endpoints are dense small integers in AddEndpoint order.
-///  - Handlers and scheduled timers run on the *driver* thread only — the
+///  - Handlers and retry timers run on the *driver* thread only — the
 ///    thread that calls RunUntilIdle(). A real backend may move bytes on
 ///    its own event-loop threads, but delivery into protocol code is always
 ///    serialized onto the driver, so protocol state needs no locks (the
 ///    same single-threaded discipline SimNet has always had).
-///  - Send/Schedule may be called from handlers (same thread, re-entrant).
+///  - Send/ScheduleRetry may be called from handlers (same thread,
+///    re-entrant); RunUntilIdle may not.
 ///  - RunUntilIdle() returns once the system quiesced: for SimNet when the
 ///    event queue is empty; for a wall-clock backend when no datagrams are
 ///    queued anywhere and the installed idle predicate (e.g. "every
@@ -42,29 +102,23 @@ class NetBackend {
   virtual int AddEndpoint(Handler handler, int group) = 0;
   int AddEndpoint(Handler handler) { return AddEndpoint(std::move(handler), -1); }
 
-  /// Transmits `frame` from src to dst (possibly impaired: dropped,
-  /// duplicated, delayed — by the seeded model in SimNet, by injection and
-  /// the kernel in UdpNet). Safe to call from inside a handler.
-  virtual void Send(int src, int dst, std::vector<uint8_t> frame) = 0;
-
-  /// Schedules `fn` to run on the driver thread at now() + delay_s
-  /// (retransmit timers). Virtual seconds for SimNet, monotonic wall-clock
-  /// seconds for UdpNet.
-  virtual void Schedule(double delay_s, std::function<void()> fn) = 0;
-
-  /// Like Schedule, but returns a token CancelTimer accepts. A cancelled
-  /// timer never runs — and on a virtual-time backend never advances the
-  /// clock, so an acked exchange leaves no trace in virtual time (the
-  /// property that keeps detect->deliver latencies shard-count invariant).
-  /// Backends without cancellation return 0 (CancelTimer ignores it) and
-  /// rely on the callback's own pending check, exactly the old lazy
-  /// discipline.
-  virtual uint64_t ScheduleCancelable(double delay_s,
-                                      std::function<void()> fn) {
-    Schedule(delay_s, std::move(fn));
-    return 0;
+  /// Transmits the `size` bytes at `frame` from src to dst (possibly
+  /// impaired: dropped, duplicated, delayed — by the seeded model in
+  /// SimNet, by injection and the kernel in UdpNet). The bytes are copied
+  /// before Send returns. Safe to call from inside a handler.
+  virtual void Send(int src, int dst, const uint8_t* frame, size_t size) = 0;
+  void Send(int src, int dst, const std::vector<uint8_t>& frame) {
+    Send(src, dst, frame.data(), frame.size());
   }
-  virtual void CancelTimer(uint64_t /*token*/) {}
+
+  /// Arms `timer` to fire on the driver thread at now() + delay_s (virtual
+  /// seconds for SimNet, monotonic wall-clock seconds for UdpNet). A timer
+  /// whose send was acked meanwhile is dead: SimNet pops it without running
+  /// it and — crucially — without advancing the clock, so an acked exchange
+  /// leaves no trace in virtual time (the property that keeps
+  /// detect->deliver latencies shard-count invariant); UdpNet fires it and
+  /// the endpoint finds nothing pending.
+  virtual void ScheduleRetry(double delay_s, const RetryTimer& timer) = 0;
 
   /// Drives the network until quiescent (see class comment).
   virtual void RunUntilIdle() = 0;
@@ -86,6 +140,12 @@ class NetBackend {
   /// Determinism fingerprint of the delivery schedule; 0 for backends
   /// whose schedule is not a pure function of the seed (real sockets).
   virtual uint64_t schedule_hash() const { return 0; }
+
+  /// Frame buffers shared by this backend and every endpoint on it.
+  FramePool& frame_pool() { return frame_pool_; }
+
+ private:
+  FramePool frame_pool_;
 };
 
 }  // namespace net

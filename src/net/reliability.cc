@@ -1,6 +1,7 @@
 #include "net/reliability.h"
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
 
 #include "obs/metrics.h"
@@ -73,12 +74,147 @@ const KindMetrics& MetricsForKind(MsgKind kind) {
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// PeerTable
+
+namespace {
+
+/// Fibonacci hashing of a peer id onto a power-of-two table.
+size_t SlotOf(int peer, size_t slots) {
+  const uint64_t h = static_cast<uint64_t>(static_cast<uint32_t>(peer)) *
+                     0x9e3779b97f4a7c15ULL;
+  return static_cast<size_t>(h >> 32) & (slots - 1);
+}
+
+}  // namespace
+
+PeerTable::Peer* PeerTable::Find(int peer) {
+  if (peer == last_.peer) return &peers_[last_.index];
+  if (index_.empty()) return nullptr;
+  const size_t mask = index_.size() - 1;
+  for (size_t i = SlotOf(peer, index_.size());; i = (i + 1) & mask) {
+    if (index_[i].peer == peer) {
+      last_ = index_[i];
+      return &peers_[last_.index];
+    }
+    if (index_[i].peer == kEmptySlot) return nullptr;
+  }
+}
+
+PeerTable::Peer& PeerTable::Get(int peer) {
+  if (Peer* found = Find(peer)) return *found;
+  if (2 * (peers_.size() + 1) > index_.size()) {
+    // Double the table (load stays <= 1/2) and re-place every peer.
+    std::vector<IndexSlot> old = std::move(index_);
+    index_.assign(std::max<size_t>(4, 2 * old.size()), {kEmptySlot, 0});
+    for (const IndexSlot& slot : old) {
+      if (slot.peer == kEmptySlot) continue;
+      size_t i = SlotOf(slot.peer, index_.size());
+      while (index_[i].peer != kEmptySlot) i = (i + 1) & (index_.size() - 1);
+      index_[i] = slot;
+    }
+  }
+  size_t i = SlotOf(peer, index_.size());
+  while (index_[i].peer != kEmptySlot) i = (i + 1) & (index_.size() - 1);
+  index_[i] = {peer, static_cast<uint32_t>(peers_.size())};
+  peers_.emplace_back();
+  return peers_.back();
+}
+
+uint64_t PeerTable::AddPending(int peer, uint32_t handle) {
+  Peer& p = Get(peer);
+  const uint64_t seq = ++p.next_seq;
+  if (seq - p.pending_base >= p.ring.size()) {
+    // The live span [pending_base, seq] outgrew the ring: double it and
+    // re-place the still-pending entries under the wider mask.
+    size_t size = std::max<size_t>(2, p.ring.size());
+    while (seq - p.pending_base >= size) size *= 2;
+    std::vector<uint32_t> ring(size, 0);
+    for (uint64_t s = p.pending_base; s < seq && !p.ring.empty(); ++s) {
+      ring[s & (size - 1)] = p.ring[s & (p.ring.size() - 1)];
+    }
+    p.ring = std::move(ring);
+  }
+  p.ring[seq & (p.ring.size() - 1)] = handle;
+  pending_count_ += 1;
+  return seq;
+}
+
+const uint32_t* PeerTable::RingSlot(const Peer* p, uint64_t seq) {
+  if (p == nullptr || seq < p->pending_base || seq > p->next_seq ||
+      p->ring.empty()) {
+    return nullptr;
+  }
+  return &p->ring[seq & (p->ring.size() - 1)];
+}
+
+uint32_t PeerTable::Pending(int peer, uint64_t seq) const {
+  const uint32_t* slot = RingSlot(Find(peer), seq);
+  return slot != nullptr ? *slot : 0;
+}
+
+uint32_t PeerTable::Retire(int peer, uint64_t seq) {
+  Peer* p = Find(peer);
+  const uint32_t* slot = RingSlot(p, seq);
+  if (slot == nullptr || *slot == 0) return 0;
+  const uint32_t handle = *slot;
+  const size_t mask = p->ring.size() - 1;
+  p->ring[seq & mask] = 0;
+  pending_count_ -= 1;
+  // Slide the base over the retired prefix so the span stays tight.
+  while (p->pending_base <= p->next_seq &&
+         p->ring[p->pending_base & mask] == 0) {
+    p->pending_base += 1;
+  }
+  return handle;
+}
+
+bool PeerTable::MarkSeen(int peer, uint64_t seq) {
+  Peer& p = Get(peer);
+  if (seq <= p.seen_contiguous) return false;
+  const uint64_t offset = seq - p.seen_contiguous - 1;
+  if (offset >= 64) return far_seen_.insert({peer, seq}).second;
+  const uint64_t bit = uint64_t{1} << offset;
+  if ((p.seen_mask & bit) != 0) return false;
+  p.seen_mask |= bit;
+  if (offset == 0) AdvanceSeen(peer, &p);
+  return true;
+}
+
+void PeerTable::AdvanceSeen(int peer, Peer* p) {
+  while ((p->seen_mask & 1) != 0) {
+    const int run = std::countr_one(p->seen_mask);
+    p->seen_mask = run == 64 ? 0 : p->seen_mask >> run;
+    p->seen_contiguous += static_cast<uint64_t>(run);
+    if (far_seen_.empty()) continue;
+    // Fallback seqs now within reach of the mask move into it (they all
+    // lie beyond the old window, so strictly ahead of the new frontier).
+    auto it = far_seen_.lower_bound({peer, 0});
+    while (it != far_seen_.end() && it->first == peer &&
+           it->second - p->seen_contiguous <= 64) {
+      p->seen_mask |= uint64_t{1} << (it->second - p->seen_contiguous - 1);
+      it = far_seen_.erase(it);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ReliabilityPolicy
+
+ReliabilityPolicy::ReliabilityPolicy(double rto_s, int max_retries,
+                                     FramePool* pool)
+    : rto_s_(rto_s),
+      max_retries_(max_retries),
+      own_pool_(pool == nullptr ? std::make_unique<FramePool>() : nullptr),
+      pool_(pool != nullptr ? pool : own_pool_.get()) {}
+
 uint64_t ReliabilityPolicy::Enqueue(int dst, MsgKind kind,
                                     const std::vector<uint8_t>& payload,
                                     const std::vector<TraceEntry>& trace) {
-  const uint64_t seq = ++next_seq_[dst];
-  pending_.emplace(std::make_pair(dst, seq),
-                   EncodeFrameTraced(kind, seq, payload, trace));
+  const uint32_t handle = pool_->Acquire();
+  const uint64_t seq = peers_.AddPending(dst, handle);
+  EncodeFrameInto(kind, seq, payload.data(), payload.size(), trace,
+                  &(*pool_)[handle]);
   return seq;
 }
 
@@ -86,20 +222,20 @@ ReliabilityPolicy::TransmitPlan ReliabilityPolicy::PlanTransmit(int dst,
                                                                 uint64_t seq,
                                                                 int attempt) {
   TransmitPlan plan;
-  const auto it = pending_.find({dst, seq});
-  if (it == pending_.end()) {
+  const uint32_t handle = peers_.Pending(dst, seq);
+  if (handle == 0) {
     plan.verdict = TransmitPlan::Verdict::kSkip;  // Acked meanwhile.
     return plan;
   }
   if (attempt > max_retries_) {
     delivery_failed_ = true;
-    pending_.erase(it);
+    pool_->Release(peers_.Retire(dst, seq));
     plan.verdict = TransmitPlan::Verdict::kGiveUp;
     return plan;
   }
   if (attempt > 0) retransmits_ += 1;
   plan.verdict = TransmitPlan::Verdict::kSend;
-  plan.frame = &it->second;
+  plan.frame = &(*pool_)[handle];
   plan.is_retransmit = attempt > 0;
   plan.next_delay_s = RetryDelay(attempt);
   return plan;
@@ -107,19 +243,22 @@ ReliabilityPolicy::TransmitPlan ReliabilityPolicy::PlanTransmit(int dst,
 
 ReliabilityPolicy::RxResult ReliabilityPolicy::OnDatagram(int src,
                                                           const uint8_t* data,
-                                                          size_t size) {
+                                                          size_t size,
+                                                          Frame* frame) {
   RxResult result;
-  if (!DecodeFrame(data, size, &result.frame)) {
+  if (!DecodeFrame(data, size, frame)) {
     corrupt_frames_ += 1;
     result.verdict = RxResult::Verdict::kCorrupt;
     return result;
   }
-  if (result.frame.kind == MsgKind::kAck) {
-    result.acked_pending = pending_.erase({src, result.frame.seq}) > 0;
+  if (frame->kind == MsgKind::kAck) {
+    const uint32_t handle = peers_.Retire(src, frame->seq);
+    if (handle != 0) pool_->Release(handle);
+    result.acked_pending = handle != 0;
     result.verdict = RxResult::Verdict::kAck;
     return result;
   }
-  if (!MarkSeen(src, result.frame.seq)) {
+  if (!peers_.MarkSeen(src, frame->seq)) {
     dedup_discards_ += 1;
     result.verdict = RxResult::Verdict::kDuplicate;
     return result;
@@ -128,39 +267,27 @@ ReliabilityPolicy::RxResult ReliabilityPolicy::OnDatagram(int src,
   return result;
 }
 
-bool ReliabilityPolicy::MarkSeen(int src, uint64_t seq) {
-  SeenWindow& window = seen_[src];
-  if (seq <= window.contiguous) return false;
-  if (!window.ahead.insert(seq).second) return false;
-  // Advance the contiguous frontier; keeps `ahead` tiny (out-of-order
-  // arrivals only happen within one jitter window).
-  while (!window.ahead.empty() &&
-         *window.ahead.begin() == window.contiguous + 1) {
-    window.ahead.erase(window.ahead.begin());
-    window.contiguous += 1;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 
 ReliableEndpoint::ReliableEndpoint(NetBackend* net, double rto_s,
                                    int max_retries, FrameHandler handler,
                                    int group)
-    : net_(net), policy_(rto_s, max_retries), handler_(std::move(handler)) {
+    : net_(net),
+      policy_(rto_s, max_retries, &net->frame_pool()),
+      handler_(std::move(handler)) {
   id_ = net_->AddEndpoint(
       [this](int src, const std::vector<uint8_t>& bytes) { OnWire(src, bytes); },
       group);
 }
 
-void ReliableEndpoint::CountTx(const std::vector<uint8_t>& frame) {
-  bytes_sent_ += frame.size();
+void ReliableEndpoint::CountTx(const uint8_t* frame, size_t size) {
+  bytes_sent_ += size;
   frames_sent_ += 1;
-  for (obs::Counter* counter : wire_bytes_counters_) counter->Inc(frame.size());
+  for (obs::Counter* counter : wire_bytes_counters_) counter->Inc(size);
   // Frame layout puts the MsgKind at byte 3 (after magic + version).
   const KindMetrics& km = MetricsForKind(static_cast<MsgKind>(frame[3]));
   km.frames.Inc();
-  km.bytes.Inc(frame.size());
+  km.bytes.Inc(size);
 }
 
 void ReliableEndpoint::RecordFlight(obs::FlightEventKind kind, int peer,
@@ -201,7 +328,6 @@ void ReliableEndpoint::Transmit(int dst, uint64_t seq, int attempt) {
   if (plan.verdict == Verdict::kSkip) return;
   if (plan.verdict == Verdict::kGiveUp) {
     tx_time_.erase({dst, seq});
-    retry_timer_.erase({dst, seq});
     RecordFlight(obs::FlightEventKind::kGiveUp, dst, seq, 0);
     // The give-up latches delivery_failed_ and the run will FATAL; leave a
     // diagnosable artifact behind first (no-op unless a dump path is set).
@@ -210,32 +336,38 @@ void ReliableEndpoint::Transmit(int dst, uint64_t seq, int attempt) {
                                 std::to_string(seq));
     return;
   }
-  CountTx(*plan.frame);
+  const std::vector<uint8_t>& frame = *plan.frame;
+  CountTx(frame.data(), frame.size());
   RecordFlight(plan.is_retransmit ? obs::FlightEventKind::kRetransmit
                                   : obs::FlightEventKind::kSend,
-               dst, seq, (*plan.frame)[3]);
+               dst, seq, frame[3]);
   if (plan.is_retransmit) {
     ReliabilityMetrics::Get().retransmits.Inc();
     obs::TraceScope span("retransmit", "net");
-    net_->Send(id_, dst, *plan.frame);
+    net_->Send(id_, dst, frame);
   } else {
     if (net_->wall_clock()) tx_time_[{dst, seq}] = net_->now();
-    net_->Send(id_, dst, *plan.frame);
+    net_->Send(id_, dst, frame);
   }
-  // The retry timer is cancelled eagerly when the ack lands (see OnWire);
-  // on backends without cancellation the fired timer's PlanTransmit finds
-  // nothing pending and the call is a no-op.
-  retry_timer_[{dst, seq}] =
-      net_->ScheduleCancelable(plan.next_delay_s, [this, dst, seq, attempt] {
-        Transmit(dst, seq, attempt + 1);
-      });
+  // The timer dies with the pending entry when the ack lands (RetryLive).
+  RetryTimer timer;
+  timer.target = this;
+  timer.dst = dst;
+  timer.attempt = attempt + 1;
+  timer.seq = seq;
+  net_->ScheduleRetry(plan.next_delay_s, timer);
 }
 
 void ReliableEndpoint::OnWire(int src, const std::vector<uint8_t>& bytes) {
+  // One decode scratch per thread serves every endpoint: handlers run to
+  // completion before the next datagram is delivered (the backend contract
+  // forbids driving the backend from a handler), so its buffers are reused
+  // frame after frame instead of reallocated.
+  thread_local Frame frame;
   ReliabilityPolicy::RxResult rx;
   {
     obs::TraceScope span("wire_decode", "net");
-    rx = policy_.OnDatagram(src, bytes.data(), bytes.size());
+    rx = policy_.OnDatagram(src, bytes.data(), bytes.size(), &frame);
   }
   using Verdict = ReliabilityPolicy::RxResult::Verdict;
   switch (rx.verdict) {
@@ -248,14 +380,9 @@ void ReliableEndpoint::OnWire(int src, const std::vector<uint8_t>& bytes) {
       return;
     case Verdict::kAck:
       if (rx.acked_pending) {
-        const auto timer = retry_timer_.find({src, rx.frame.seq});
-        if (timer != retry_timer_.end()) {
-          net_->CancelTimer(timer->second);
-          retry_timer_.erase(timer);
-        }
-        RecordFlight(obs::FlightEventKind::kAck, src, rx.frame.seq, 0);
+        RecordFlight(obs::FlightEventKind::kAck, src, frame.seq, 0);
         if (net_->wall_clock()) {
-          const auto it = tx_time_.find({src, rx.frame.seq});
+          const auto it = tx_time_.find({src, frame.seq});
           if (it != tx_time_.end()) {
             RttSketch().Record(net_->now() - it->second);
             tx_time_.erase(it);
@@ -267,19 +394,19 @@ void ReliableEndpoint::OnWire(int src, const std::vector<uint8_t>& bytes) {
     case Verdict::kDeliver: {
       // Ack every copy, even duplicates: the sender may be retrying because
       // the first ack was lost.
-      const std::vector<uint8_t> ack =
-          EncodeFrame(MsgKind::kAck, rx.frame.seq, {});
-      CountTx(ack);
-      net_->Send(id_, src, ack);
+      uint8_t ack[kMaxAckFrameBytes];
+      const size_t ack_size = EncodeAckFrame(frame.seq, ack);
+      CountTx(ack, ack_size);
+      net_->Send(id_, src, ack, ack_size);
       if (rx.verdict == Verdict::kDuplicate) {
         ReliabilityMetrics::Get().dedup_discards.Inc();
-        RecordFlight(obs::FlightEventKind::kDedup, src, rx.frame.seq,
-                     static_cast<uint8_t>(rx.frame.kind));
+        RecordFlight(obs::FlightEventKind::kDedup, src, frame.seq,
+                     static_cast<uint8_t>(frame.kind));
         return;
       }
-      RecordFlight(obs::FlightEventKind::kDeliver, src, rx.frame.seq,
-                   static_cast<uint8_t>(rx.frame.kind));
-      handler_(src, std::move(rx.frame));
+      RecordFlight(obs::FlightEventKind::kDeliver, src, frame.seq,
+                   static_cast<uint8_t>(frame.kind));
+      handler_(src, std::move(frame));
       return;
     }
   }

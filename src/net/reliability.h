@@ -2,7 +2,9 @@
 #define PROXDET_NET_RELIABILITY_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -14,6 +16,73 @@
 
 namespace proxdet {
 namespace net {
+
+/// Dense per-peer reliability state, found through a flat open-addressing
+/// index (peer id -> slot), never a tree:
+///  - send side: the next sequence number and the pending sends, kept in a
+///    ring indexed by sequence number — sound because sequence numbers are
+///    dense per peer, so the pending ones always lie in
+///    [pending_base, next_seq] and a power-of-two ring over that span holds
+///    each at seq & mask;
+///  - receive side: the seen-window, a contiguous frontier ("every seq up to
+///    here delivered") plus a 64-bit mask for the seqs just ahead of it.
+///    A seq more than 64 beyond the frontier — a reorder deeper than the
+///    mask — goes to an exact ordered fallback set, shared by all peers and
+///    drained into the mask as the frontier reaches it.
+/// Pending sends carry an opaque nonzero handle (the frame-pool buffer
+/// holding the encoded frame).
+class PeerTable {
+ public:
+  /// Assigns the next sequence number for `peer` (1, 2, 3, ...) and
+  /// records it as pending under `handle` (nonzero); returns the seq.
+  uint64_t AddPending(int peer, uint32_t handle);
+  /// Handle of the pending send (peer, seq), or 0 when it is not pending.
+  uint32_t Pending(int peer, uint64_t seq) const;
+  /// Retires the pending send (peer, seq); returns its handle, or 0 when it
+  /// was not pending (a stale or duplicate ack).
+  uint32_t Retire(int peer, uint64_t seq);
+  size_t pending_count() const { return pending_count_; }
+
+  /// Marks data seq from `peer` delivered; false when it was already seen.
+  bool MarkSeen(int peer, uint64_t seq);
+
+  /// Seqs currently parked in the deep-reorder fallback (tests).
+  size_t far_seen_count() const { return far_seen_.size(); }
+
+ private:
+  struct Peer {
+    uint64_t next_seq = 0;         // Last assigned; 0 = none yet.
+    uint64_t pending_base = 1;     // No seq below this is pending.
+    std::vector<uint32_t> ring;    // Handle per seq (0 = retired).
+    uint64_t seen_contiguous = 0;  // Every seq <= this was delivered.
+    uint64_t seen_mask = 0;        // Bit i: seen_contiguous + 1 + i seen.
+  };
+  struct IndexSlot {
+    int peer;
+    uint32_t index;  // Into peers_.
+  };
+  static constexpr int kEmptySlot = std::numeric_limits<int>::min();
+
+  Peer* Find(int peer);
+  const Peer* Find(int peer) const {
+    return const_cast<PeerTable*>(this)->Find(peer);
+  }
+  Peer& Get(int peer);
+  /// Ring slot of `seq` in `p`, or nullptr when `p` is null or `seq` lies
+  /// outside its live span [pending_base, next_seq].
+  static const uint32_t* RingSlot(const Peer* p, uint64_t seq);
+  /// Advances the seen frontier over a set low bit, pulling fallback seqs
+  /// into the mask as they come within 64 of it.
+  void AdvanceSeen(int peer, Peer* p);
+
+  std::vector<Peer> peers_;
+  std::vector<IndexSlot> index_;  // Power-of-two size, load <= 1/2.
+  /// The last peer found: one round trip looks the same peer up several
+  /// times in a row (enqueue, transmit, ack, timer).
+  mutable IndexSlot last_{kEmptySlot, 0};
+  std::set<std::pair<int, uint64_t>> far_seen_;
+  size_t pending_count_ = 0;
+};
 
 /// Transport-agnostic at-least-once retry/dedup state machine: every data
 /// frame carries a per-destination sequence number, is acked by the
@@ -27,11 +96,11 @@ namespace net {
 /// is what makes "identical retry/dedup decisions for identical delivery
 /// traces" a structural property rather than a test hope. The caller
 /// (ReliableEndpoint) performs the transmissions, arms the timers, and
-/// attributes the bytes.
+/// attributes the bytes. Retained frames live in a FramePool — the
+/// backend's when given one, else the policy's own.
 class ReliabilityPolicy {
  public:
-  ReliabilityPolicy(double rto_s, int max_retries)
-      : rto_s_(rto_s), max_retries_(max_retries) {}
+  ReliabilityPolicy(double rto_s, int max_retries, FramePool* pool = nullptr);
 
   /// Linear backoff: attempt k (0-based) waits (k + 1) * rto_s before the
   /// next attempt — bounded retry storms at high drop rates, cheap to
@@ -60,22 +129,27 @@ class ReliabilityPolicy {
   /// One (re)transmission decision for attempt `attempt` of (dst, seq).
   TransmitPlan PlanTransmit(int dst, uint64_t seq, int attempt);
 
+  /// True while (dst, seq) awaits its ack.
+  bool pending(int dst, uint64_t seq) const {
+    return peers_.Pending(dst, seq) != 0;
+  }
+
   struct RxResult {
     enum class Verdict {
       kCorrupt,    // Undecodable; drop (the sender's retry recovers).
-      kAck,        // Ack consumed; frame.seq names the acked send.
+      kAck,        // Ack consumed; frame->seq names the acked send.
       kDuplicate,  // Valid data, already seen: ack it, then discard.
-      kDeliver,    // Valid new data: ack it, then hand frame up.
+      kDeliver,    // Valid new data: ack it, then hand the frame up.
     };
     Verdict verdict = Verdict::kCorrupt;
-    Frame frame;
     bool acked_pending = false;  // kAck that cleared a live pending entry.
   };
-  /// Classifies one received datagram and updates pending/dedup state.
-  /// For kDuplicate and kDeliver the caller must send an ack for frame.seq
-  /// back to src — every copy is acked, because the sender may be retrying
-  /// precisely because the first ack was lost.
-  RxResult OnDatagram(int src, const uint8_t* data, size_t size);
+  /// Classifies one received datagram, decoding it into `*frame` (whose
+  /// buffers are reused), and updates pending/dedup state. For kDuplicate
+  /// and kDeliver the caller must send an ack for frame->seq back to src —
+  /// every copy is acked, because the sender may be retrying precisely
+  /// because the first ack was lost.
+  RxResult OnDatagram(int src, const uint8_t* data, size_t size, Frame* frame);
 
   // Decision counters (pure functions of the enqueue/receive trace).
   uint64_t retransmits() const { return retransmits_; }
@@ -85,21 +159,14 @@ class ReliabilityPolicy {
   /// True when some frame exhausted max_retries (only reachable with
   /// drop_rate pinned near 1); surfaced as a run failure.
   bool delivery_failed() const { return delivery_failed_; }
-  bool all_acked() const { return pending_.empty(); }
+  bool all_acked() const { return peers_.pending_count() == 0; }
 
  private:
-  struct SeenWindow {
-    uint64_t contiguous = 0;   // All seqs <= contiguous delivered.
-    std::set<uint64_t> ahead;  // Delivered seqs > contiguous.
-  };
-
-  bool MarkSeen(int src, uint64_t seq);
-
   double rto_s_;
   int max_retries_;
-  std::map<int, uint64_t> next_seq_;
-  std::map<std::pair<int, uint64_t>, std::vector<uint8_t>> pending_;
-  std::map<int, SeenWindow> seen_;
+  std::unique_ptr<FramePool> own_pool_;  // Only without a backend pool.
+  FramePool* pool_;
+  PeerTable peers_;
   uint64_t retransmits_ = 0;
   uint64_t dedup_discards_ = 0;
   uint64_t corrupt_frames_ = 0;
@@ -113,13 +180,16 @@ class ReliabilityPolicy {
 /// UdpNet (wall-clock timer wheel); on wall-clock backends it additionally
 /// records per-send round-trip latency into the "net.socket.rtt_s"
 /// quantile sketch.
-class ReliableEndpoint {
+class ReliableEndpoint : private RetryTarget {
  public:
+  /// Receives each fresh data frame. The frame is a per-thread decode
+  /// scratch, valid for the duration of the call only.
   using FrameHandler = std::function<void(int src, Frame&& frame)>;
 
   /// Registers a fresh backend endpoint. `rto_s` is the base retransmission
   /// timeout; attempt k waits k * rto_s. `group` is the backend placement
-  /// hint (see NetBackend::AddEndpoint).
+  /// hint (see NetBackend::AddEndpoint). Frames are retained in the
+  /// backend's FramePool.
   ReliableEndpoint(NetBackend* net, double rto_s, int max_retries,
                    FrameHandler handler, int group = -1);
 
@@ -164,9 +234,17 @@ class ReliableEndpoint {
   bool all_acked() const { return policy_.all_acked(); }
 
  private:
+  // RetryTarget: a retry timer is live exactly while its send is pending.
+  bool RetryLive(int dst, uint64_t seq) const override {
+    return policy_.pending(dst, seq);
+  }
+  void OnRetry(int dst, uint64_t seq, int attempt) override {
+    Transmit(dst, seq, attempt);
+  }
+
   void Transmit(int dst, uint64_t seq, int attempt);
   void OnWire(int src, const std::vector<uint8_t>& bytes);
-  void CountTx(const std::vector<uint8_t>& frame);
+  void CountTx(const uint8_t* frame, size_t size);
   void RecordFlight(obs::FlightEventKind kind, int peer, uint64_t seq,
                     uint8_t msg_kind);
 
@@ -179,11 +257,6 @@ class ReliableEndpoint {
   // First-transmit times for in-flight sends, kept only on wall-clock
   // backends to feed the RTT sketch.
   std::map<std::pair<int, uint64_t>, double> tx_time_;
-  // Latest retry-timer token per in-flight send; cancelled eagerly when the
-  // ack lands so retired timers never advance SimNet's virtual clock (token
-  // 0 = backend without cancellation, where the timer's own pending check
-  // makes the firing a no-op).
-  std::map<std::pair<int, uint64_t>, uint64_t> retry_timer_;
   uint64_t bytes_sent_ = 0;
   uint64_t frames_sent_ = 0;
 };

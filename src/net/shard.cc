@@ -79,6 +79,20 @@ int HashRing::ShardOf(UserId u) const {
 }
 
 // ---------------------------------------------------------------------------
+// DigestLedger
+
+void DigestLedger::Expect(int shard, const LocationReportMsg& digest) {
+  expected_[{shard, digest.user}] = digest;
+}
+
+bool DigestLedger::Consume(int shard, const LocationReportMsg& digest) {
+  const auto it = expected_.find({shard, digest.user});
+  if (it == expected_.end() || !(it->second == digest)) return false;
+  expected_.erase(it);
+  return true;
+}
+
+// ---------------------------------------------------------------------------
 // ShardedFrontend
 
 ShardedFrontend::ShardedFrontend(const World& world, const NetConfig& config)
@@ -150,13 +164,18 @@ ShardedFrontend::ShardedFrontend(const World& world, const NetConfig& config)
     shard.server->endpoint().set_flight_shard(s);
     shard.mesh->set_flight_shard(s);
   }
+  // Per-shard uplink counters, registered on a shard's first user.
+  std::vector<obs::Counter*> shard_up(shard_count, nullptr);
   for (UserId u = 0; u < user_count; ++u) {
-    shards_[home_[u]].users.push_back(u);
-    obs::Counter& shard_up = obs::Metrics().GetCounter(
-        "net.shard" + std::to_string(home_[u]) + ".bytes_up");
+    const int h = home_[u];
+    shards_[h].users.push_back(u);
+    if (shard_up[h] == nullptr) {
+      shard_up[h] = &obs::Metrics().GetCounter(
+          "net.shard" + std::to_string(h) + ".bytes_up");
+    }
     clients_[u]->endpoint().add_wire_bytes_counter(&bytes_up);
-    clients_[u]->endpoint().add_wire_bytes_counter(&shard_up);
-    clients_[u]->endpoint().set_flight_shard(home_[u]);
+    clients_[u]->endpoint().add_wire_bytes_counter(shard_up[h]);
+    clients_[u]->endpoint().set_flight_shard(h);
   }
   if (config.trace) {
     latency_ = std::make_unique<AlertLatencyTracker>(net_, shard_count);
@@ -202,6 +221,7 @@ ShardedFrontend::ShardedFrontend(const World& world, const NetConfig& config)
   mesh_queue_.assign(shard_count,
                      std::vector<std::vector<MeshItem>>(shard_count));
   expect_.resize(user_count);
+  is_touched_.assign(user_count, 0);
 }
 
 ShardedFrontend::~ShardedFrontend() = default;
@@ -233,7 +253,8 @@ void ShardedFrontend::ForwardDigests(const LocationReportMsg& msg,
   // Owners of u's cross-shard pairs: the home shard of every *smaller*
   // friend living elsewhere (OwnerOf picks the smaller endpoint's home; for
   // friends above u this shard is the owner and already has the report).
-  std::vector<int> targets;
+  std::vector<int>& targets = digest_targets_;
+  targets.clear();
   for (const FriendEdge& e : graph_.FriendsOf(u)) {
     if (e.other < u && home_[e.other] != home_[u]) {
       targets.push_back(home_[e.other]);
@@ -258,8 +279,7 @@ void ShardedFrontend::ForwardDigests(const LocationReportMsg& msg,
   }
   const TraceCtx* mesh_ctx_ptr = ctx != nullptr ? &mesh_ctx : nullptr;
   for (const int t : targets) {
-    expected_digests_[{t, u}] = digest;
-    digests_outstanding_ += 1;
+    digests_.Expect(t, digest);
     if (config_.batch_downlink) {
       mesh_queue_[home_[u]][t].push_back(
           MeshItem{fwd, ctx != nullptr, mesh_ctx});
@@ -269,7 +289,7 @@ void ShardedFrontend::ForwardDigests(const LocationReportMsg& msg,
   }
   if (!config_.batch_downlink) {
     net_->RunUntilIdle();
-    if (digests_outstanding_ != 0) failed_ = true;
+    if (digests_.outstanding() != 0) failed_ = true;
   }
 }
 
@@ -278,8 +298,8 @@ void ShardedFrontend::Report(UserId u, int epoch, size_t window_len,
   ApplyGraphUpdates(epoch);
   clients_[u]->SendReport(epoch, window_len);
   net_->RunUntilIdle();
-  LocationReportMsg msg;
-  if (!shards_[home_[u]].server->TakeReport(u, &msg)) {
+  std::optional<TraceCtx> report_ctx;
+  if (!shards_[home_[u]].server->TakeReport(u, &report_, &report_ctx)) {
     // Only reachable when the reliability layer gave up (drop_rate ~ 1).
     // Fall back to the direct read so the engine stays well-defined; the
     // run is still flagged failed.
@@ -291,14 +311,12 @@ void ShardedFrontend::Report(UserId u, int epoch, size_t window_len,
   }
   // Keep the owner shards of u's cross-shard pairs current before the
   // engine acts on the report.
-  const std::optional<TraceCtx> report_ctx =
-      shards_[home_[u]].server->report_trace(u);
-  ForwardDigests(msg, report_ctx.has_value() ? &*report_ctx : nullptr);
+  ForwardDigests(report_, report_ctx.has_value() ? &*report_ctx : nullptr);
   // Hand the engine the payload *as the server decoded it* — the codec's
   // exactness, not a shortcut, is what makes the transported run
   // bit-identical to the in-process one.
-  *position = msg.position;
-  *window = std::move(msg.window);
+  *position = report_.position;
+  window->swap(report_.window);
 }
 
 void ShardedFrontend::Downlink(UserId u, MsgKind kind,
@@ -308,7 +326,7 @@ void ShardedFrontend::Downlink(UserId u, MsgKind kind,
     client_queue_[u].push_back(PendingItem{kind, std::move(payload),
                                            ctx != nullptr,
                                            ctx != nullptr ? *ctx : TraceCtx{}});
-    touched_.insert(u);
+    Touch(u);
     return;
   }
   shards_[home_[u]].server->endpoint().Send(static_cast<int>(u), kind,
@@ -355,7 +373,7 @@ void ShardedFrontend::PairDownlink(UserId u, UserId a, UserId b, MsgKind kind,
     // consumed) on receipt instead of delivered twice.
     client_queue_[u].push_back(
         PendingItem{kind, fwd.inner, ctx != nullptr, client_ctx});
-    touched_.insert(u);
+    Touch(u);
     mesh_queue_[owner][home].push_back(
         MeshItem{std::move(fwd), ctx != nullptr, mesh_ctx});
     return;
@@ -419,17 +437,10 @@ void ShardedFrontend::HandleMeshMessage(int shard, int src,
       failed_ = true;
       return;
     }
-    const auto key = std::make_pair(shard, digest.user);
-    const auto it = expected_digests_.find(key);
     // The digest on the wire must be the digest the serving plane meant to
-    // send — same reporter, epoch and bit-exact position.
-    if (it == expected_digests_.end() || !(it->second == digest) ||
-        digests_outstanding_ == 0) {
-      failed_ = true;
-      return;
-    }
-    digests_outstanding_ -= 1;
-    digests_[key] = digest;
+    // send — same reporter, epoch and bit-exact position — and each one is
+    // accepted once.
+    if (!digests_.Consume(shard, digest)) failed_ = true;
     return;
   }
   if (fwd.inner_kind != static_cast<uint8_t>(MsgKind::kAlert) &&
@@ -501,7 +512,7 @@ void ShardedFrontend::Probe(UserId u, int epoch) {
     // for u into the same frame) and flush immediately.
     client_queue_[u].push_back(
         PendingItem{MsgKind::kProbe, Encode(msg), false, TraceCtx{}});
-    touched_.insert(u);
+    Touch(u);
     FlushClient(u);
     net_->RunUntilIdle();
     VerifyClient(u);
@@ -539,10 +550,15 @@ void ShardedFrontend::InstallRegion(UserId u, int epoch,
   msg.user = u;
   msg.epoch = epoch;
   msg.region = region;
-  std::vector<uint8_t> payload = Encode(msg);
+  // Both codings go to scratch; only the one shipped is copied out, at its
+  // exact size (it waits in the client's queue until the epoch barrier).
+  std::vector<uint8_t>& exact = install_exact_;
+  std::vector<uint8_t>& compressed = install_compressed_;
+  Encode(msg, &exact);
+  const std::vector<uint8_t>* payload = &exact;
   if (config_.compress_installs) {
-    std::vector<uint8_t> compressed = EncodeCompressed(msg);
-    if (compressed.size() < payload.size()) {
+    EncodeCompressed(msg, &compressed);
+    if (compressed.size() < exact.size()) {
       // The guard: the server decodes its own compressed encoding and ships
       // it only when the result is the *identical* shape. Quantized coding
       // is lossy in general; it goes on the wire only when proven lossless
@@ -551,8 +567,8 @@ void ShardedFrontend::InstallRegion(UserId u, int epoch,
       RegionInstallMsg decoded;
       if (Decode(compressed, &decoded) && decoded == msg) {
         compressed_installs_ += 1;
-        compress_saved_bytes_ += payload.size() - compressed.size();
-        payload = std::move(compressed);
+        compress_saved_bytes_ += exact.size() - compressed.size();
+        payload = &compressed;
       } else {
         compress_mismatch_ += 1;
       }
@@ -561,8 +577,9 @@ void ShardedFrontend::InstallRegion(UserId u, int epoch,
     }
   }
   expect_[u].regions += 1;
-  expect_[u].region = region;
-  Downlink(u, MsgKind::kRegionInstall, std::move(payload), nullptr);
+  expect_[u].region = std::move(msg.region);
+  Downlink(u, MsgKind::kRegionInstall,
+           std::vector<uint8_t>(payload->begin(), payload->end()), nullptr);
 }
 
 void ShardedFrontend::InstallMatch(UserId u, int epoch, MatchOp op, UserId a,
@@ -680,11 +697,17 @@ void ShardedFrontend::VerifyClient(UserId u) {
   }
 }
 
+void ShardedFrontend::Touch(UserId u) {
+  if (is_touched_[u]) return;
+  is_touched_[u] = 1;
+  touched_.push_back(u);
+}
+
 void ShardedFrontend::EndEpoch(int /*epoch*/) {
   if (!config_.batch_downlink) {
     // Stop-and-wait already drained everything; just assert nothing is
     // still owed on the mesh.
-    if (digests_outstanding_ != 0) failed_ = true;
+    if (digests_.outstanding() != 0) failed_ = true;
     for (const auto& [key, pending] : expected_relays_) {
       if (!pending.empty()) failed_ = true;
     }
@@ -694,14 +717,18 @@ void ShardedFrontend::EndEpoch(int /*epoch*/) {
   // before any client sees its batch.
   for (int s = 0; s < ring_.shard_count(); ++s) FlushMesh(s);
   net_->RunUntilIdle();
-  if (digests_outstanding_ != 0) failed_ = true;
+  if (digests_.outstanding() != 0) failed_ = true;
   for (const auto& [key, pending] : expected_relays_) {
     if (!pending.empty()) failed_ = true;
   }
-  // Then one coalesced frame per touched client.
+  // Then one coalesced frame per touched client, in ascending user order.
+  std::sort(touched_.begin(), touched_.end());
   for (const UserId u : touched_) FlushClient(u);
   net_->RunUntilIdle();
-  for (const UserId u : touched_) VerifyClient(u);
+  for (const UserId u : touched_) {
+    VerifyClient(u);
+    is_touched_[u] = 0;
+  }
   touched_.clear();
 }
 

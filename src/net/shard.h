@@ -46,6 +46,26 @@ class HashRing {
   std::vector<std::pair<uint64_t, int>> ring_;
 };
 
+/// Owner-side verification of forwarded location digests: for each
+/// (shard, user), the digest the serving plane sent that shard and the
+/// shard has not yet received. An arriving digest must equal the
+/// outstanding one for its key (same reporter, epoch and bit-exact
+/// position) and consumes it, so verification is exact per key — a
+/// repeated or unexpected digest is rejected even while other digests are
+/// in flight.
+class DigestLedger {
+ public:
+  /// Records `digest` as sent to `shard`.
+  void Expect(int shard, const LocationReportMsg& digest);
+  /// True, consuming the entry, when `digest` is the one outstanding for
+  /// (shard, digest.user); false (and nothing consumed) otherwise.
+  bool Consume(int shard, const LocationReportMsg& digest);
+  size_t outstanding() const { return expected_.size(); }
+
+ private:
+  std::map<std::pair<int, UserId>, LocationReportMsg> expected_;
+};
+
 /// The sharded serving plane: `config.shards` ProtocolServer partitions on
 /// one SimNet, each with a client-facing endpoint and a mesh endpoint, plus
 /// every ClientRuntime. Users are assigned to shards by the HashRing; all
@@ -177,6 +197,8 @@ class ShardedFrontend {
   void FlushMesh(int from_shard);
   /// Compare u's decoded client state against its expectation tracker.
   void VerifyClient(UserId u);
+  /// Adds u to this epoch's flush set (batch mode).
+  void Touch(UserId u);
 
   const World& world_;
   NetConfig config_;
@@ -198,11 +220,16 @@ class ShardedFrontend {
   InterestGraph graph_;
   size_t next_update_ = 0;
 
-  /// Owner-side digest store and its expectation: (shard, user) -> last
-  /// digest received / last digest the system should have sent.
-  std::map<std::pair<int, UserId>, LocationReportMsg> digests_;
-  std::map<std::pair<int, UserId>, LocationReportMsg> expected_digests_;
-  uint64_t digests_outstanding_ = 0;
+  /// Digests in flight to their owner shards, verified on receipt.
+  DigestLedger digests_;
+  /// Report scratch: the decoded report passes through here on its way to
+  /// the engine (window buffers are swapped, never reallocated).
+  LocationReportMsg report_;
+  /// ForwardDigests' target-shard scratch.
+  std::vector<int> digest_targets_;
+  /// InstallRegion's encoding scratch (exact and quantized codings).
+  std::vector<uint8_t> install_exact_;
+  std::vector<uint8_t> install_compressed_;
 
   /// Relayed-notice verification: per (owner, home) multiset of encoded
   /// ShardForwardMsg payloads in flight (jitter may reorder mesh frames, so
@@ -214,7 +241,11 @@ class ShardedFrontend {
   std::vector<std::vector<PendingItem>> client_queue_;        // By UserId.
   std::vector<std::vector<std::vector<MeshItem>>> mesh_queue_;
   std::vector<ClientExpect> expect_;
-  std::set<UserId> touched_;  // Clients with traffic this epoch.
+  /// Clients with traffic this epoch, in first-touch order (sorted before
+  /// the flush: ascending-user flush order fixes the event ids), and the
+  /// per-user membership flag.
+  std::vector<UserId> touched_;
+  std::vector<uint8_t> is_touched_;
 
   /// Per-alert detect->deliver accounting (NetConfig::trace runs only).
   std::unique_ptr<AlertLatencyTracker> latency_;

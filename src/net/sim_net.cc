@@ -14,7 +14,7 @@ namespace {
 
 /// Link-impairment totals. All deterministic: SimNet is single-threaded and
 /// every random decision comes from its seeded Rng, so these are pure
-/// functions of (seed, Send/Schedule call sequence).
+/// functions of (seed, Send/ScheduleRetry call sequence).
 struct SimNetMetrics {
   obs::Counter& frames_offered;
   obs::Counter& drops;
@@ -40,15 +40,15 @@ int SimNet::AddEndpoint(Handler handler, int /*group*/) {
   return static_cast<int>(handlers_.size()) - 1;
 }
 
-void SimNet::PushEvent(Event e) {
-  heap_.push_back(std::move(e));
+void SimNet::PushEvent(const Event& e) {
+  heap_.push_back(e);
   std::push_heap(heap_.begin(), heap_.end(), EventAfter());
   SimNetMetrics::Get().queue_depth_max.MaxOf(static_cast<double>(heap_.size()));
 }
 
 SimNet::Event SimNet::PopEvent() {
   std::pop_heap(heap_.begin(), heap_.end(), EventAfter());
-  Event e = std::move(heap_.back());
+  const Event e = heap_.back();
   heap_.pop_back();
   return e;
 }
@@ -75,18 +75,18 @@ void SimNet::RecordOutcome(const DeliveryRecord& r) {
   if (record_log_) log_.push_back(r);
 }
 
-void SimNet::Send(int src, int dst, std::vector<uint8_t> frame) {
+void SimNet::Send(int src, int dst, const uint8_t* frame, size_t size) {
   const LinkModel model = link_model_ ? link_model_(src, dst) : LinkModel();
   // One Rng draw per decision, in fixed order, regardless of the model's
   // parameters — the draw sequence (hence the schedule) is a pure function
-  // of the seed and the Send/Schedule call sequence.
+  // of the seed and the Send/ScheduleRetry call sequence.
   const bool duplicate = rng_.NextBool(model.dup_rate);
   const int copies = duplicate ? 2 : 1;
   if (duplicate) {
     frames_duplicated_ += 1;
     SimNetMetrics::Get().dups.Inc();
   }
-  const uint32_t frame_hash = Fnv1a32(frame.data(), frame.size());
+  const uint32_t frame_hash = Fnv1a32(frame, size);
   for (int c = 0; c < copies; ++c) {
     const bool drop = rng_.NextBool(model.drop_rate);
     const double jitter =
@@ -112,47 +112,41 @@ void SimNet::Send(int src, int dst, std::vector<uint8_t> frame) {
     e.id = next_event_id_++;
     e.src = src;
     e.dst = dst;
-    // The last surviving copy moves the buffer; earlier ones copy it.
-    e.frame = (c == copies - 1) ? std::move(frame) : frame;
-    PushEvent(std::move(e));
+    e.frame = frame_pool().Acquire();
+    frame_pool()[e.frame].assign(frame, frame + size);
+    PushEvent(e);
   }
 }
 
-void SimNet::Schedule(double delay_s, std::function<void()> fn) {
+void SimNet::ScheduleRetry(double delay_s, const RetryTimer& timer) {
   Event e;
   e.time = now_ + delay_s;
   e.id = next_event_id_++;
-  e.timer = std::move(fn);
-  PushEvent(std::move(e));
-}
-
-uint64_t SimNet::ScheduleCancelable(double delay_s, std::function<void()> fn) {
-  const uint64_t id = next_event_id_;
-  Schedule(delay_s, std::move(fn));
-  return id + 1;  // 0 is the base API's "not cancellable" sentinel.
-}
-
-void SimNet::CancelTimer(uint64_t token) {
-  if (token != 0) cancelled_timers_.insert(token - 1);
+  e.retry = timer;
+  PushEvent(e);
 }
 
 void SimNet::RunUntilIdle() {
   while (!heap_.empty()) {
-    Event e = PopEvent();
-    if (e.timer && !cancelled_timers_.empty() &&
-        cancelled_timers_.erase(e.id) > 0) {
-      // Cancelled retry timer: discard without running it and — crucially —
-      // without advancing now_, so retired timers leave virtual time
-      // untouched (see ScheduleCancelable in the header).
+    const Event e = PopEvent();
+    if (e.frame == 0) {
+      const RetryTimer& t = e.retry;
+      // A retry whose send was acked is dead: discard it without running
+      // it and — crucially — without advancing now_, so retired timers
+      // leave virtual time untouched (see NetBackend::ScheduleRetry).
+      if (!t.target->RetryLive(t.dst, t.seq)) continue;
+      now_ = std::max(now_, e.time);
+      t.target->OnRetry(t.dst, t.seq, t.attempt);
       continue;
     }
     now_ = std::max(now_, e.time);
-    if (e.timer) {
-      e.timer();
-    } else {
+    {
       obs::TraceScope span("simnet_delivery", "net");
-      handlers_[e.dst](e.src, e.frame);
+      // Pool buffers never move, so the reference survives any Send the
+      // handler makes; the buffer is recycled once the handler returns.
+      handlers_[e.dst](e.src, frame_pool()[e.frame]);
     }
+    frame_pool().Release(e.frame);
   }
 }
 

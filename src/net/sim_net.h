@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -39,9 +38,11 @@ struct DeliveryRecord {
 
 /// Deterministic event-driven NetBackend. Endpoints are small integers;
 /// frames are opaque byte vectors; time is virtual seconds, advanced only
-/// by the event queue. Events are ordered by (time, insertion id), so ties
+/// by the event queue. Queue entries are plain data — frame bytes live in
+/// the shared FramePool, retry timers are typed records — so steady-state
+/// traffic never allocates. Events are ordered by (time, insertion id), so ties
 /// break deterministically and two runs with the same seed and the same
-/// Send/Schedule call sequence produce byte-identical delivery schedules
+/// Send/ScheduleRetry call sequence produce byte-identical delivery schedules
 /// (verified via schedule_hash()). This is the correctness oracle for the
 /// real-socket backend in net/socket/.
 ///
@@ -66,21 +67,15 @@ class SimNet : public NetBackend {
 
   /// Transmits `frame` from src to dst through the (src, dst) link model:
   /// possibly dropped, possibly duplicated, delivered at
-  /// now + latency + jitter. Safe to call from inside a handler.
-  void Send(int src, int dst, std::vector<uint8_t> frame) override;
+  /// now + latency + jitter. Each surviving copy is held in a frame-pool
+  /// buffer until delivered. Safe to call from inside a handler.
+  using NetBackend::Send;
+  void Send(int src, int dst, const uint8_t* frame, size_t size) override;
 
-  /// Schedules `fn` to run at now + delay_s (retry timers).
-  void Schedule(double delay_s, std::function<void()> fn) override;
-
-  /// Cancellable timers with *eager* semantics: a cancelled timer event is
-  /// skipped by RunUntilIdle without advancing virtual time. This matters
-  /// for latency accounting — a retransmit timer retired by an ack must not
-  /// drag now() forward to the retry deadline, or detect->deliver virtual
-  /// latencies would depend on how many acked exchanges happen to be in
-  /// flight (and hence on the shard count).
-  uint64_t ScheduleCancelable(double delay_s,
-                              std::function<void()> fn) override;
-  void CancelTimer(uint64_t token) override;
+  /// Arms a retry timer at now + delay_s. RunUntilIdle asks the target
+  /// whether the timer is still live when it reaches the head of the queue;
+  /// a dead one is discarded without advancing virtual time.
+  void ScheduleRetry(double delay_s, const RetryTimer& timer) override;
 
   /// Runs events in timestamp order until the queue is empty. Handlers and
   /// timers may enqueue more work; the loop drains it all.
@@ -103,13 +98,15 @@ class SimNet : public NetBackend {
   const std::vector<DeliveryRecord>& log() const { return log_; }
 
  private:
+  /// Heap entry: plain data. A delivery names its frame-pool buffer; a
+  /// retry timer carries its record inline.
   struct Event {
     double time = 0.0;
-    uint64_t id = 0;  // Insertion order; the deterministic tie-break.
-    int src = -1;
-    int dst = -1;
-    std::vector<uint8_t> frame;        // Delivery events.
-    std::function<void()> timer;       // Timer events (frame empty).
+    uint64_t id = 0;      // Insertion order; the deterministic tie-break.
+    uint32_t frame = 0;  // Frame-pool handle; 0 marks a retry timer.
+    int src = -1;        // Deliveries only.
+    int dst = -1;        // Deliveries only.
+    RetryTimer retry;    // Retry timers only.
   };
   struct EventAfter {
     bool operator()(const Event& a, const Event& b) const {
@@ -117,7 +114,7 @@ class SimNet : public NetBackend {
     }
   };
 
-  void PushEvent(Event e);
+  void PushEvent(const Event& e);
   Event PopEvent();
   void MixHash(uint64_t v);
   void RecordOutcome(const DeliveryRecord& r);
@@ -126,9 +123,6 @@ class SimNet : public NetBackend {
   std::vector<Handler> handlers_;
   std::function<LinkModel(int, int)> link_model_;
   std::vector<Event> heap_;  // Binary min-heap under EventAfter.
-  // Event ids of cancelled (but still heap-resident) timers; tokens are
-  // event id + 1 so 0 stays the "not cancellable" sentinel of the base API.
-  std::unordered_set<uint64_t> cancelled_timers_;
   uint64_t next_event_id_ = 0;
   double now_ = 0.0;
   uint64_t frames_offered_ = 0;

@@ -68,8 +68,8 @@ UdpNet::UdpNet(const UdpNetConfig& config) : config_(config), rng_(config.seed) 
 UdpNet::~UdpNet() = default;
 bool UdpNet::Available() { return false; }
 int UdpNet::AddEndpoint(Handler, int) { return -1; }
-void UdpNet::Send(int, int, std::vector<uint8_t>) {}
-void UdpNet::Schedule(double, std::function<void()>) {}
+void UdpNet::Send(int, int, const uint8_t*, size_t) {}
+void UdpNet::ScheduleRetry(double, const RetryTimer&) {}
 void UdpNet::RunUntilIdle() {}
 double UdpNet::now() const { return 0.0; }
 void UdpNet::Start() {}
@@ -234,7 +234,7 @@ void UdpNet::Start() {
   }
 }
 
-void UdpNet::Send(int src, int dst, std::vector<uint8_t> frame) {
+void UdpNet::Send(int src, int dst, const uint8_t* frame, size_t size) {
   // Same injection semantics (and counter meanings) as SimNet's LinkModel:
   // one dup coin per logical send, one drop coin per copy, all from the
   // seeded Rng — the kernel may drop more under burst, and the reliability
@@ -254,9 +254,7 @@ void UdpNet::Send(int src, int dst, std::vector<uint8_t> frame) {
       SocketMetrics::Get().drops.Inc();
       continue;
     }
-    EnqueueOutgoing(src, dst,
-                    c == copies - 1 ? std::move(frame)
-                                    : std::vector<uint8_t>(frame));
+    EnqueueOutgoing(src, dst, std::vector<uint8_t>(frame, frame + size));
   }
 }
 
@@ -411,8 +409,12 @@ int UdpNet::PumpOnce() {
   return n + static_cast<int>(batch.size());
 }
 
-void UdpNet::Schedule(double delay_s, std::function<void()> fn) {
-  wheel_.Schedule(now(), delay_s, std::move(fn));
+void UdpNet::ScheduleRetry(double delay_s, const RetryTimer& timer) {
+  // No cancellation on the wheel: a timer whose send was acked fires, the
+  // endpoint's transmit plan finds nothing pending, and nothing happens.
+  wheel_.Schedule(now(), delay_s, [timer] {
+    timer.target->OnRetry(timer.dst, timer.seq, timer.attempt);
+  });
 }
 
 void UdpNet::RunUntilIdle() {

@@ -53,7 +53,7 @@ struct UdpNetConfig {
 /// poll via EventLoop). The loop threads only move bytes: received
 /// datagrams are queued to the driver thread, which dispatches handlers,
 /// fires TimerWheel retransmit timers, and is the only thread allowed to
-/// call Send/Schedule — so all protocol state above the backend stays
+/// call Send/ScheduleRetry — so all protocol state above the backend stays
 /// single-threaded, exactly like SimNet (see NetBackend).
 ///
 /// Time is wall-clock (monotonic seconds since construction) and delivery
@@ -75,8 +75,9 @@ class UdpNet : public NetBackend {
 
   using NetBackend::AddEndpoint;
   int AddEndpoint(Handler handler, int group) override;
-  void Send(int src, int dst, std::vector<uint8_t> frame) override;
-  void Schedule(double delay_s, std::function<void()> fn) override;
+  using NetBackend::Send;
+  void Send(int src, int dst, const uint8_t* frame, size_t size) override;
+  void ScheduleRetry(double delay_s, const RetryTimer& timer) override;
   void RunUntilIdle() override;
   double now() const override;
   bool wall_clock() const override { return true; }

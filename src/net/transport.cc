@@ -25,13 +25,19 @@ ClientRuntime::ClientRuntime(NetBackend* net, const World* world, UserId id,
                 }) {}
 
 void ClientRuntime::SendReport(int epoch, size_t window_len) {
-  LocationReportMsg msg;
+  // One scratch message and payload per thread serve every client: the
+  // endpoint copies the payload into its pending frame before Send returns.
+  thread_local LocationReportMsg msg;
+  thread_local std::vector<uint8_t> payload;
   msg.user = id_;
   msg.epoch = epoch;
   msg.position = world_->Position(id_, epoch);
   if (window_len > 0) {
-    msg.window = world_->RecentWindow(id_, epoch, window_len);
+    world_->RecentWindow(id_, epoch, window_len, &msg.window);
+  } else {
+    msg.window.clear();
   }
+  Encode(msg, &payload);
   if (trace_) {
     // The causal root: hop 0 of the position update's journey. The server
     // keeps the context alongside the decoded report so digest fan-out and
@@ -40,11 +46,11 @@ void ClientRuntime::SendReport(int epoch, size_t window_len) {
     ctx.origin_epoch = epoch;
     ctx.event_id = ReportEventId(id_, epoch);
     ctx.hops = 0;
-    endpoint_.Send(server_id_, MsgKind::kLocationReport, Encode(msg),
+    endpoint_.Send(server_id_, MsgKind::kLocationReport, payload,
                    {TraceEntry{0, ctx}});
     return;
   }
-  endpoint_.Send(server_id_, MsgKind::kLocationReport, Encode(msg));
+  endpoint_.Send(server_id_, MsgKind::kLocationReport, payload);
 }
 
 bool ClientRuntime::HandleMessage(MsgKind kind,
@@ -119,8 +125,7 @@ void ClientRuntime::HandleFrame(Frame&& frame) {
 
 ProtocolServer::ProtocolServer(NetBackend* net, size_t user_count,
                                const NetConfig& config, int group)
-    : inbox_(user_count),
-      inbox_trace_(user_count),
+    : user_count_(user_count),
       endpoint_(net, config.retry_timeout_s, config.max_retries,
                 [this](int src, Frame&& frame) {
                   HandleFrame(src, std::move(frame));
@@ -132,7 +137,10 @@ void ProtocolServer::HandleFrame(int src, Frame&& frame) {
     protocol_error_ = true;
     return;
   }
-  LocationReportMsg msg;
+  // Decode into the first spare entry; it joins the inbox only if valid.
+  if (inbox_size_ == inbox_.size()) inbox_.emplace_back();
+  InboxEntry& entry = inbox_[inbox_size_];
+  LocationReportMsg& msg = entry.msg;
   if (!Decode(frame.payload, &msg)) {
     protocol_error_ = true;
     return;
@@ -140,7 +148,7 @@ void ProtocolServer::HandleFrame(int src, Frame&& frame) {
   // Endpoint ids coincide with user ids by construction; a report claiming
   // another identity is a protocol violation.
   if (msg.user != static_cast<UserId>(src) || msg.user < 0 ||
-      static_cast<size_t>(msg.user) >= inbox_.size()) {
+      static_cast<size_t>(msg.user) >= user_count_) {
     protocol_error_ = true;
     return;
   }
@@ -151,19 +159,33 @@ void ProtocolServer::HandleFrame(int src, Frame&& frame) {
     return;
   }
   const TraceCtx* ctx = frame.TraceFor(0);
-  inbox_trace_[msg.user] = ctx != nullptr ? std::optional<TraceCtx>(*ctx)
-                                          : std::nullopt;
-  inbox_[msg.user] = std::move(msg);
+  entry.trace = ctx != nullptr ? std::optional<TraceCtx>(*ctx) : std::nullopt;
+  // A newer report from the same user replaces the undrained one.
+  for (size_t i = 0; i < inbox_size_; ++i) {
+    if (inbox_[i].msg.user == msg.user) {
+      std::swap(inbox_[i], entry);
+      return;
+    }
+  }
+  inbox_size_ += 1;
 }
 
-bool ProtocolServer::TakeReport(UserId u, LocationReportMsg* out) {
-  if (u < 0 || static_cast<size_t>(u) >= inbox_.size() ||
-      !inbox_[u].has_value()) {
-    return false;
+bool ProtocolServer::TakeReport(UserId u, LocationReportMsg* out,
+                                std::optional<TraceCtx>* trace) {
+  for (size_t i = 0; i < inbox_size_; ++i) {
+    InboxEntry& entry = inbox_[i];
+    if (entry.msg.user != u) continue;
+    out->user = entry.msg.user;
+    out->epoch = entry.msg.epoch;
+    out->position = entry.msg.position;
+    out->window.swap(entry.msg.window);
+    if (trace != nullptr) *trace = entry.trace;
+    // Close the gap; the drained entry becomes the first spare.
+    inbox_size_ -= 1;
+    std::swap(entry, inbox_[inbox_size_]);
+    return true;
   }
-  *out = std::move(*inbox_[u]);
-  inbox_[u].reset();
-  return true;
+  return false;
 }
 
 // ---------------------------------------------------------------------------

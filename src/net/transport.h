@@ -193,8 +193,10 @@ class ClientRuntime {
   ReliableEndpoint endpoint_;  // Last: its handler captures `this`.
 };
 
-/// Server-side frame sink: decodes uplink location reports into a per-user
-/// inbox the engine link drains synchronously.
+/// Server-side frame sink: decodes uplink location reports into an inbox
+/// the engine link drains synchronously. The inbox holds only undrained
+/// reports (one, in the stop-and-wait uplink), and its entries keep their
+/// window capacity from report to report.
 class ProtocolServer {
  public:
   /// `group` pins the server's socket to its shard's event loop on real
@@ -202,15 +204,12 @@ class ProtocolServer {
   ProtocolServer(NetBackend* net, size_t user_count, const NetConfig& config,
                  int group = -1);
 
-  bool TakeReport(UserId u, LocationReportMsg* out);
-
-  /// Trace context the user's last report frame carried, consumed with the
-  /// report (empty for untraced runs). Call before or after TakeReport
-  /// within the same drain — the slot is cleared by the *next* report.
-  std::optional<TraceCtx> report_trace(UserId u) const {
-    if (u < 0 || static_cast<size_t>(u) >= inbox_trace_.size()) return {};
-    return inbox_trace_[u];
-  }
+  /// Moves u's undrained report into `*out` (its window buffer is swapped
+  /// with the inbox entry's, so neither side reallocates) and, when
+  /// `trace` is non-null, the trace context its frame carried (nullopt for
+  /// untraced frames). False when no report from u is waiting.
+  bool TakeReport(UserId u, LocationReportMsg* out,
+                  std::optional<TraceCtx>* trace = nullptr);
 
   /// Restricts the users this server accepts reports from (a sharded
   /// frontend serves only its ring partition); a report from any other user
@@ -224,10 +223,18 @@ class ProtocolServer {
   bool protocol_error() const { return protocol_error_; }
 
  private:
+  struct InboxEntry {
+    LocationReportMsg msg;
+    std::optional<TraceCtx> trace;
+  };
+
   void HandleFrame(int src, Frame&& frame);
 
-  std::vector<std::optional<LocationReportMsg>> inbox_;
-  std::vector<std::optional<TraceCtx>> inbox_trace_;
+  size_t user_count_;
+  /// inbox_[0, inbox_size_) are undrained reports, at most one per user;
+  /// entries past inbox_size_ are spares keeping their buffers.
+  std::vector<InboxEntry> inbox_;
+  size_t inbox_size_ = 0;
   std::function<bool(UserId)> served_;
   bool protocol_error_ = false;
   ReliableEndpoint endpoint_;

@@ -40,33 +40,53 @@ int64_t QuantIndex(double v, bool* exact) {
   return q;
 }
 
+/// Writes `v` as LEB128 at `p`; returns the byte after it.
+uint8_t* PutVarintRaw(uint8_t* p, uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *p++ = static_cast<uint8_t>(v);
+  return p;
+}
+
+uint64_t ZigzagBits(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+
+/// Writes the low `n` bytes of `v` little-endian at `p`.
+uint8_t* PutLittleEndian(uint8_t* p, uint64_t v, int n) {
+  for (int i = 0; i < n; ++i) *p++ = static_cast<uint8_t>(v >> (8 * i));
+  return p;
+}
+
 }  // namespace
 
 void WireWriter::PutU16(uint16_t v) {
-  bytes_.push_back(static_cast<uint8_t>(v));
-  bytes_.push_back(static_cast<uint8_t>(v >> 8));
+  uint8_t buf[2];
+  PutBytes(buf, PutLittleEndian(buf, v, 2) - buf);
 }
 
 void WireWriter::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  uint8_t buf[4];
+  PutBytes(buf, PutLittleEndian(buf, v, 4) - buf);
 }
 
 void WireWriter::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  uint8_t buf[8];
+  PutBytes(buf, PutLittleEndian(buf, v, 8) - buf);
 }
 
 void WireWriter::PutVarint(uint64_t v) {
-  while (v >= 0x80) {
-    bytes_.push_back(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  bytes_.push_back(static_cast<uint8_t>(v));
+  uint8_t buf[10];
+  PutBytes(buf, PutVarintRaw(buf, v) - buf);
 }
 
-void WireWriter::PutZigzag(int64_t v) {
-  PutVarint((static_cast<uint64_t>(v) << 1) ^
-            static_cast<uint64_t>(v >> 63));
+void WireWriter::PutBytes(const uint8_t* data, size_t size) {
+  bytes_->insert(bytes_->end(), data, data + size);
 }
+
+void WireWriter::PutZigzag(int64_t v) { PutVarint(ZigzagBits(v)); }
 
 void WireWriter::PutDouble(double v) { PutU64(DoubleBits(v)); }
 
@@ -237,6 +257,16 @@ bool WireReader::GetPointsQuantized(std::vector<Vec2>* out) {
   return ok_;
 }
 
+const uint8_t* WireReader::GetBytes(size_t size) {
+  if (!ok_ || remaining() < size) {
+    ok_ = false;
+    return nullptr;
+  }
+  const uint8_t* p = data_ + pos_;
+  pos_ += size;
+  return p;
+}
+
 uint32_t Fnv1a32(const uint8_t* data, size_t size) {
   uint32_t h = 2166136261u;
   for (size_t i = 0; i < size; ++i) {
@@ -265,15 +295,36 @@ UserId GetUser(WireReader* r, bool* valid) {
 
 bool Done(const WireReader& r) { return r.ok() && r.remaining() == 0; }
 
+/// Runs `write` against the calling thread's scratch buffer and returns an
+/// exactly sized copy: one allocation per message and no capacity slack in
+/// buffers the caller retains (queued downlink payloads live until the
+/// epoch barrier).
+template <typename Write>
+std::vector<uint8_t> EncodeExact(Write&& write) {
+  thread_local std::vector<uint8_t> scratch;
+  scratch.clear();
+  WireWriter w(&scratch);
+  write(&w);
+  return std::vector<uint8_t>(scratch.begin(), scratch.end());
+}
+
+void PutReport(WireWriter* w, const LocationReportMsg& msg) {
+  PutUser(w, msg.user);
+  w->PutZigzag(msg.epoch);
+  w->PutVec2(msg.position);
+  w->PutPoints(msg.window);
+}
+
 }  // namespace
 
 std::vector<uint8_t> Encode(const LocationReportMsg& msg) {
-  WireWriter w;
-  PutUser(&w, msg.user);
-  w.PutZigzag(msg.epoch);
-  w.PutVec2(msg.position);
-  w.PutPoints(msg.window);
-  return w.Take();
+  return EncodeExact([&](WireWriter* w) { PutReport(w, msg); });
+}
+
+void Encode(const LocationReportMsg& msg, std::vector<uint8_t>* out) {
+  out->clear();
+  WireWriter w(out);
+  PutReport(&w, msg);
 }
 
 bool Decode(const std::vector<uint8_t>& payload, LocationReportMsg* out) {
@@ -287,10 +338,10 @@ bool Decode(const std::vector<uint8_t>& payload, LocationReportMsg* out) {
 }
 
 std::vector<uint8_t> Encode(const ProbeMsg& msg) {
-  WireWriter w;
-  PutUser(&w, msg.user);
-  w.PutZigzag(msg.epoch);
-  return w.Take();
+  return EncodeExact([&](WireWriter* w) {
+    PutUser(w, msg.user);
+    w->PutZigzag(msg.epoch);
+  });
 }
 
 bool Decode(const std::vector<uint8_t>& payload, ProbeMsg* out) {
@@ -302,12 +353,12 @@ bool Decode(const std::vector<uint8_t>& payload, ProbeMsg* out) {
 }
 
 std::vector<uint8_t> Encode(const AlertMsg& msg) {
-  WireWriter w;
-  PutUser(&w, msg.user);
-  PutUser(&w, msg.u);
-  PutUser(&w, msg.w);
-  w.PutZigzag(msg.epoch);
-  return w.Take();
+  return EncodeExact([&](WireWriter* w) {
+    PutUser(w, msg.user);
+    PutUser(w, msg.u);
+    PutUser(w, msg.w);
+    w->PutZigzag(msg.epoch);
+  });
 }
 
 bool Decode(const std::vector<uint8_t>& payload, AlertMsg* out) {
@@ -434,20 +485,35 @@ bool GetShape(WireReader* r, SafeRegionShape* out) {
   return r->ok();
 }
 
+namespace {
+
+void PutRegionInstall(WireWriter* w, const RegionInstallMsg& msg,
+                      bool allow_quantized) {
+  PutUser(w, msg.user);
+  w->PutZigzag(msg.epoch);
+  PutShape(w, msg.region, allow_quantized);
+}
+
+}  // namespace
+
 std::vector<uint8_t> Encode(const RegionInstallMsg& msg) {
-  WireWriter w;
-  PutUser(&w, msg.user);
-  w.PutZigzag(msg.epoch);
-  PutShape(&w, msg.region);
-  return w.Take();
+  return EncodeExact([&](WireWriter* w) { PutRegionInstall(w, msg, false); });
+}
+
+void Encode(const RegionInstallMsg& msg, std::vector<uint8_t>* out) {
+  out->clear();
+  WireWriter w(out);
+  PutRegionInstall(&w, msg, false);
 }
 
 std::vector<uint8_t> EncodeCompressed(const RegionInstallMsg& msg) {
-  WireWriter w;
-  PutUser(&w, msg.user);
-  w.PutZigzag(msg.epoch);
-  PutShape(&w, msg.region, /*allow_quantized=*/true);
-  return w.Take();
+  return EncodeExact([&](WireWriter* w) { PutRegionInstall(w, msg, true); });
+}
+
+void EncodeCompressed(const RegionInstallMsg& msg, std::vector<uint8_t>* out) {
+  out->clear();
+  WireWriter w(out);
+  PutRegionInstall(&w, msg, true);
 }
 
 bool Decode(const std::vector<uint8_t>& payload, RegionInstallMsg* out) {
@@ -460,15 +526,15 @@ bool Decode(const std::vector<uint8_t>& payload, RegionInstallMsg* out) {
 }
 
 std::vector<uint8_t> Encode(const MatchInstallMsg& msg) {
-  WireWriter w;
-  PutUser(&w, msg.user);
-  w.PutZigzag(msg.epoch);
-  w.PutU8(msg.op);
-  PutUser(&w, msg.u);
-  PutUser(&w, msg.w);
-  w.PutVec2(msg.region.center);
-  w.PutDouble(msg.region.radius);
-  return w.Take();
+  return EncodeExact([&](WireWriter* w) {
+    PutUser(w, msg.user);
+    w->PutZigzag(msg.epoch);
+    w->PutU8(msg.op);
+    PutUser(w, msg.u);
+    PutUser(w, msg.w);
+    w->PutVec2(msg.region.center);
+    w->PutDouble(msg.region.radius);
+  });
 }
 
 bool Decode(const std::vector<uint8_t>& payload, MatchInstallMsg* out) {
@@ -518,45 +584,51 @@ bool ForwardInnerKindOk(uint8_t kind) {
   }
 }
 
-/// Length-prefixed byte blob, sliced straight out of `payload` (the reader
-/// exposes no span getter; its remaining() pins the slice's offset).
-bool GetBlob(WireReader* r, const std::vector<uint8_t>& payload,
-             std::vector<uint8_t>* out) {
+/// Length-prefixed byte blob.
+bool GetBlob(WireReader* r, std::vector<uint8_t>* out) {
   const uint64_t len = r->GetVarint();
   if (!r->ok() || len > r->remaining()) return false;
-  const size_t start = payload.size() - r->remaining();
-  out->assign(payload.begin() + start, payload.begin() + start + len);
-  for (uint64_t i = 0; i < len; ++i) r->GetU8();  // Advance the reader.
-  return r->ok();
+  const uint8_t* bytes = r->GetBytes(static_cast<size_t>(len));
+  if (bytes == nullptr) return false;
+  out->assign(bytes, bytes + len);
+  return true;
 }
 
 }  // namespace
 
 std::vector<uint8_t> Encode(const ShardForwardMsg& msg) {
-  WireWriter w;
+  std::vector<uint8_t> out;
+  out.reserve(1 + VarintSize(msg.inner.size()) + msg.inner.size());
+  WireWriter w(&out);
   w.PutU8(msg.inner_kind);
   w.PutVarint(msg.inner.size());
-  for (const uint8_t b : msg.inner) w.PutU8(b);
-  return w.Take();
+  w.PutBytes(msg.inner.data(), msg.inner.size());
+  return out;
 }
 
 bool Decode(const std::vector<uint8_t>& payload, ShardForwardMsg* out) {
   WireReader r(payload.data(), payload.size());
   out->inner_kind = r.GetU8();
   if (!ForwardInnerKindOk(out->inner_kind)) return false;
-  if (!GetBlob(&r, payload, &out->inner)) return false;
+  if (!GetBlob(&r, &out->inner)) return false;
   return Done(r);
 }
 
 std::vector<uint8_t> EncodeBatch(const std::vector<BatchItem>& items) {
-  WireWriter w;
+  size_t size = VarintSize(items.size());
+  for (const BatchItem& item : items) {
+    size += 1 + VarintSize(item.payload.size()) + item.payload.size();
+  }
+  std::vector<uint8_t> out;
+  out.reserve(size);
+  WireWriter w(&out);
   w.PutVarint(items.size());
   for (const BatchItem& item : items) {
     w.PutU8(static_cast<uint8_t>(item.kind));
     w.PutVarint(item.payload.size());
-    for (const uint8_t b : item.payload) w.PutU8(b);
+    w.PutBytes(item.payload.data(), item.payload.size());
   }
-  return w.Take();
+  return out;
 }
 
 bool DecodeBatch(const std::vector<uint8_t>& payload,
@@ -573,7 +645,7 @@ bool DecodeBatch(const std::vector<uint8_t>& payload,
     const uint8_t kind = r.GetU8();
     if (!EnvelopeKindOk(kind)) return false;
     item.kind = static_cast<MsgKind>(kind);
-    if (!GetBlob(&r, payload, &item.payload)) return false;
+    if (!GetBlob(&r, &item.payload)) return false;
     out->push_back(std::move(item));
   }
   return Done(r);
@@ -582,50 +654,70 @@ bool DecodeBatch(const std::vector<uint8_t>& payload,
 // ---------------------------------------------------------------------------
 // Framing.
 
+namespace {
+
+size_t TraceExtensionBytes(const std::vector<TraceEntry>& trace) {
+  if (trace.empty()) return 0;
+  size_t size = VarintSize(trace.size());
+  for (const TraceEntry& e : trace) {
+    size += VarintSize(e.index) + VarintSize(ZigzagBits(e.ctx.origin_epoch)) +
+            VarintSize(e.ctx.event_id) + 1;
+  }
+  return size;
+}
+
+/// One pass over a buffer of exactly the frame's length: header, payload,
+/// trace extension (traced frames only), checksum.
+void WriteFrame(MsgKind kind, uint64_t seq, const uint8_t* payload,
+                size_t payload_len, const std::vector<TraceEntry>& trace,
+                uint8_t* out) {
+  uint8_t* p = PutLittleEndian(out, kWireMagic, 2);
+  *p++ = trace.empty() ? kWireVersion : kWireVersionTraced;
+  *p++ = static_cast<uint8_t>(kind);
+  p = PutVarintRaw(p, seq);
+  p = PutVarintRaw(p, payload_len);
+  if (payload_len > 0) {
+    std::memcpy(p, payload, payload_len);
+    p += payload_len;
+  }
+  if (!trace.empty()) {
+    p = PutVarintRaw(p, trace.size());
+    for (const TraceEntry& e : trace) {
+      p = PutVarintRaw(p, e.index);
+      p = PutVarintRaw(p, ZigzagBits(e.ctx.origin_epoch));
+      p = PutVarintRaw(p, e.ctx.event_id);
+      *p++ = e.ctx.hops;
+    }
+  }
+  PutLittleEndian(p, Fnv1a32(out, static_cast<size_t>(p - out)), 4);
+}
+
+}  // namespace
+
 std::vector<uint8_t> EncodeFrame(MsgKind kind, uint64_t seq,
                                  const std::vector<uint8_t>& payload) {
-  WireWriter w;
-  w.PutU16(kWireMagic);
-  w.PutU8(kWireVersion);
-  w.PutU8(static_cast<uint8_t>(kind));
-  w.PutVarint(seq);
-  w.PutVarint(payload.size());
-  std::vector<uint8_t> bytes = w.Take();
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
-  const uint32_t checksum = Fnv1a32(bytes.data(), bytes.size());
-  for (int i = 0; i < 4; ++i) {
-    bytes.push_back(static_cast<uint8_t>(checksum >> (8 * i)));
-  }
-  return bytes;
+  return EncodeFrameTraced(kind, seq, payload, {});
 }
 
 std::vector<uint8_t> EncodeFrameTraced(MsgKind kind, uint64_t seq,
                                        const std::vector<uint8_t>& payload,
                                        const std::vector<TraceEntry>& trace) {
-  if (trace.empty()) return EncodeFrame(kind, seq, payload);
-  WireWriter w;
-  w.PutU16(kWireMagic);
-  w.PutU8(kWireVersionTraced);
-  w.PutU8(static_cast<uint8_t>(kind));
-  w.PutVarint(seq);
-  w.PutVarint(payload.size());
-  std::vector<uint8_t> bytes = w.Take();
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
-  WireWriter ext;
-  ext.PutVarint(trace.size());
-  for (const TraceEntry& e : trace) {
-    ext.PutVarint(e.index);
-    ext.PutZigzag(e.ctx.origin_epoch);
-    ext.PutVarint(e.ctx.event_id);
-    ext.PutU8(e.ctx.hops);
-  }
-  const std::vector<uint8_t>& ext_bytes = ext.bytes();
-  bytes.insert(bytes.end(), ext_bytes.begin(), ext_bytes.end());
-  const uint32_t checksum = Fnv1a32(bytes.data(), bytes.size());
-  for (int i = 0; i < 4; ++i) {
-    bytes.push_back(static_cast<uint8_t>(checksum >> (8 * i)));
-  }
+  std::vector<uint8_t> bytes;
+  EncodeFrameInto(kind, seq, payload.data(), payload.size(), trace, &bytes);
   return bytes;
+}
+
+void EncodeFrameInto(MsgKind kind, uint64_t seq, const uint8_t* payload,
+                     size_t payload_len, const std::vector<TraceEntry>& trace,
+                     std::vector<uint8_t>* out) {
+  out->resize(FrameOverheadBytes(seq, payload_len) + payload_len +
+              TraceExtensionBytes(trace));
+  WriteFrame(kind, seq, payload, payload_len, trace, out->data());
+}
+
+size_t EncodeAckFrame(uint64_t seq, uint8_t* out) {
+  WriteFrame(MsgKind::kAck, seq, nullptr, 0, {}, out);
+  return FrameOverheadBytes(seq, 0);
 }
 
 bool DecodeFrame(const uint8_t* data, size_t size, Frame* out) {

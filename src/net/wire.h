@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "geom/circle.h"
@@ -99,10 +100,19 @@ enum class MsgKind : uint8_t {
 /// Highest MsgKind DecodeFrame accepts; new kinds append, never renumber.
 constexpr uint8_t kMaxMsgKind = static_cast<uint8_t>(MsgKind::kShardForward);
 
-/// Little-endian byte sink with the protocol's primitive encoders.
+/// Little-endian byte sink with the protocol's primitive encoders. Writes
+/// into its own buffer (handed out by Take()) or appends to a caller's
+/// buffer, so a hot path can reuse one buffer's capacity across messages.
+/// Every primitive is a single append, never a byte-at-a-time push.
 class WireWriter {
  public:
-  void PutU8(uint8_t v) { bytes_.push_back(v); }
+  WireWriter() : bytes_(&owned_) {}
+  /// Appends to `*out`; the writer must not outlive it.
+  explicit WireWriter(std::vector<uint8_t>* out) : bytes_(out) {}
+  WireWriter(const WireWriter&) = delete;
+  WireWriter& operator=(const WireWriter&) = delete;
+
+  void PutU8(uint8_t v) { bytes_->push_back(v); }
   void PutU16(uint16_t v);
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
@@ -113,6 +123,8 @@ class WireWriter {
   /// IEEE-754 bit pattern, fixed 8 bytes little-endian. Exact.
   void PutDouble(double v);
   void PutVec2(const Vec2& v);
+  /// Raw bytes, appended as one block.
+  void PutBytes(const uint8_t* data, size_t size);
   /// Varint-packed point list: varint count, then per point the XOR of the
   /// coordinate's bit pattern with the previous point's, as a varint.
   /// Bijective (hence exact); nearby/repeated coordinates shrink to a few
@@ -126,11 +138,12 @@ class WireWriter {
   /// exact XOR-delta coding otherwise).
   void PutPointsQuantized(const std::vector<Vec2>& points);
 
-  const std::vector<uint8_t>& bytes() const { return bytes_; }
-  std::vector<uint8_t> Take() { return std::move(bytes_); }
+  const std::vector<uint8_t>& bytes() const { return *bytes_; }
+  std::vector<uint8_t> Take() { return std::move(*bytes_); }
 
  private:
-  std::vector<uint8_t> bytes_;
+  std::vector<uint8_t> owned_;
+  std::vector<uint8_t>* bytes_;
 };
 
 /// Bounds-checked reader over a byte span. Any over-read, overlong varint
@@ -153,6 +166,9 @@ class WireReader {
   Vec2 GetVec2();
   bool GetPoints(std::vector<Vec2>* out);
   bool GetPointsQuantized(std::vector<Vec2>* out);
+  /// Pointer to the next `size` bytes (advancing past them), or nullptr
+  /// with ok() latched false when fewer remain.
+  const uint8_t* GetBytes(size_t size);
 
  private:
   const uint8_t* data_;
@@ -275,6 +291,10 @@ std::vector<uint8_t> Encode(const AlertMsg& msg);
 std::vector<uint8_t> Encode(const RegionInstallMsg& msg);
 std::vector<uint8_t> Encode(const MatchInstallMsg& msg);
 std::vector<uint8_t> Encode(const ShardForwardMsg& msg);
+/// Allocation-free forms for the hot paths: each overwrites `*out` with
+/// the encoding, reusing its capacity.
+void Encode(const LocationReportMsg& msg, std::vector<uint8_t>* out);
+void Encode(const RegionInstallMsg& msg, std::vector<uint8_t>* out);
 bool Decode(const std::vector<uint8_t>& payload, LocationReportMsg* out);
 bool Decode(const std::vector<uint8_t>& payload, ProbeMsg* out);
 bool Decode(const std::vector<uint8_t>& payload, AlertMsg* out);
@@ -288,6 +308,7 @@ bool Decode(const std::vector<uint8_t>& payload, ShardForwardMsg* out);
 /// equal to `msg` — callers wanting the guard anyway (the serving plane
 /// does, per validate-builds semantics) decode and compare before shipping.
 std::vector<uint8_t> EncodeCompressed(const RegionInstallMsg& msg);
+void EncodeCompressed(const RegionInstallMsg& msg, std::vector<uint8_t>* out);
 
 /// Shape sub-codec (tag byte + per-type body), shared by RegionInstallMsg
 /// and usable on its own. With `allow_quantized`, polygon/stripe point
@@ -382,6 +403,22 @@ std::vector<uint8_t> EncodeFrame(MsgKind kind, uint64_t seq,
 std::vector<uint8_t> EncodeFrameTraced(MsgKind kind, uint64_t seq,
                                        const std::vector<uint8_t>& payload,
                                        const std::vector<TraceEntry>& trace);
+
+/// EncodeFrameTraced into a reused buffer: `*out` is resized to the exact
+/// frame length (FrameOverheadBytes + payload + trace extension) and
+/// written in one pass — header, payload, trace extension, checksum — so a
+/// buffer that already holds the capacity never reallocates.
+void EncodeFrameInto(MsgKind kind, uint64_t seq, const uint8_t* payload,
+                     size_t payload_len, const std::vector<TraceEntry>& trace,
+                     std::vector<uint8_t>* out);
+
+/// Largest ack frame (a 10-byte seq varint, empty payload).
+constexpr size_t kMaxAckFrameBytes = FrameOverheadBytes(~0ULL, 0);
+
+/// Writes the ack frame for `seq` — byte-identical to
+/// EncodeFrame(MsgKind::kAck, seq, {}) — into `out`, which must hold
+/// kMaxAckFrameBytes, and returns its length. No allocation.
+size_t EncodeAckFrame(uint64_t seq, uint8_t* out);
 
 /// Parses one frame (either version). Returns false — never throws, never
 /// reads past `size` — on truncation, bad magic/version/kind, length

@@ -12,8 +12,18 @@ inline namespace enabled {
 void FlightRecorder::set_capacity(size_t capacity) {
   std::lock_guard<std::mutex> lock(mutex_);
   capacity_ = capacity;
-  for (auto& [shard, ring] : rings_) {
-    while (ring.size() > capacity_) ring.pop_front();
+  for (Ring& ring : rings_) {
+    if (ring.slots.empty()) continue;
+    // Re-lay the newest min(count, capacity) events out oldest-first.
+    std::vector<FlightEvent> kept;
+    const size_t keep = std::min(ring.count, capacity_);
+    for (size_t i = ring.count - keep; i < ring.count; ++i) {
+      kept.push_back(ring.slots[(ring.head + i) % ring.slots.size()]);
+    }
+    kept.resize(capacity_);
+    ring.slots = std::move(kept);
+    ring.head = 0;
+    ring.count = keep;
   }
 }
 
@@ -37,26 +47,45 @@ void FlightRecorder::Record(const FlightEvent& event) {
   recorded_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mutex_);
   if (capacity_ == 0) return;
-  std::deque<FlightEvent>& ring = rings_[event.shard];
-  ring.push_back(event);
-  ring.back().id = next_id_++;
-  while (ring.size() > capacity_) ring.pop_front();
+  const size_t index = event.shard < 0 ? 0 : static_cast<size_t>(event.shard) + 1;
+  if (index >= rings_.size()) rings_.resize(index + 1);
+  Ring& ring = rings_[index];
+  if (ring.slots.empty()) ring.slots.resize(capacity_);
+  size_t slot;
+  if (ring.count < capacity_) {
+    slot = (ring.head + ring.count) % capacity_;
+    ring.count += 1;
+  } else {
+    slot = ring.head;  // Full: the newest overwrites the oldest.
+    ring.head = (ring.head + 1) % capacity_;
+  }
+  ring.slots[slot] = event;
+  ring.slots[slot].id = next_id_++;
 }
 
 void FlightRecorder::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  rings_.clear();
+  for (Ring& ring : rings_) {
+    ring.head = 0;
+    ring.count = 0;
+  }
   next_id_ = 0;
   recorded_.store(0, std::memory_order_relaxed);
+}
+
+void FlightRecorder::CollectLocked(std::vector<FlightEvent>* out) const {
+  for (const Ring& ring : rings_) {
+    for (size_t i = 0; i < ring.count; ++i) {
+      out->push_back(ring.slots[(ring.head + i) % ring.slots.size()]);
+    }
+  }
 }
 
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
   std::vector<FlightEvent> out;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [shard, ring] : rings_) {
-      out.insert(out.end(), ring.begin(), ring.end());
-    }
+    CollectLocked(&out);
   }
   std::sort(out.begin(), out.end(),
             [](const FlightEvent& a, const FlightEvent& b) {

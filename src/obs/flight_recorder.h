@@ -3,8 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -65,9 +63,13 @@ struct FlightEvent {
 
 inline namespace enabled {
 
-/// Bounded per-shard ring buffer of recent protocol events. Recording is a
-/// mutex push (protocol events fire on the driver thread, so the lock is
-/// uncontended); each shard keeps only its most recent `capacity` events.
+/// Bounded per-shard ring buffer of recent protocol events. Each shard owns
+/// a fixed array of `capacity` slots (allocated on its first event) that
+/// the newest event overwrites once full, so recording is a slot store
+/// under an uncontended mutex (protocol events fire on the driver thread;
+/// the lock only orders them against a concurrent reader such as the live
+/// stats endpoint). Shards are indexed directly (shard + 1; every negative
+/// label shares the unsharded ring).
 /// On a failure — socket idle timeout, reliability give-up, bench contract
 /// violation — DumpOnFailure() writes everything still buffered as JSON so
 /// the FATAL leaves a diagnosable artifact instead of just an exit code.
@@ -113,13 +115,24 @@ class FlightRecorder {
   static FlightRecorder& Global();
 
  private:
+  /// Fixed-capacity ring: slots.size() == capacity once used; the oldest
+  /// buffered event sits at `head`.
+  struct Ring {
+    std::vector<FlightEvent> slots;
+    size_t head = 0;
+    size_t count = 0;
+  };
+
+  /// Appends the buffered events of every ring, oldest first per ring.
+  void CollectLocked(std::vector<FlightEvent>* out) const;
+
   std::atomic<bool> enabled_{true};
   std::atomic<uint64_t> recorded_{0};
   mutable std::mutex mutex_;
   size_t capacity_ = 256;
   uint64_t next_id_ = 0;
   std::string dump_path_;
-  std::map<int, std::deque<FlightEvent>> rings_;
+  std::vector<Ring> rings_;  // By shard + 1.
 };
 
 }  // namespace enabled

@@ -6,6 +6,7 @@
 // through the consistent-hash owner rule and forwarded location digests.
 
 #include <cctype>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -116,6 +117,42 @@ TEST(HashRingTest, AddingShardOnlyMovesKeysToTheNewShard) {
   // The new shard takes roughly 1/8 of the keys, never none, never most.
   EXPECT_GT(moved, 0);
   EXPECT_LT(moved, 1000);
+}
+
+// ---------------------------------------------------------------------------
+// DigestLedger
+
+LocationReportMsg Digest(UserId user, int32_t epoch, double x, double y) {
+  LocationReportMsg digest;
+  digest.user = user;
+  digest.epoch = epoch;
+  digest.position = {x, y};
+  return digest;
+}
+
+TEST(DigestLedgerTest, EachDigestIsAcceptedExactlyOncePerKey) {
+  DigestLedger ledger;
+  const LocationReportMsg a = Digest(3, 7, 10.0, 20.0);
+  const LocationReportMsg b = Digest(5, 7, -4.0, 8.5);
+  ledger.Expect(1, a);
+  ledger.Expect(1, b);
+  ledger.Expect(2, a);
+  EXPECT_EQ(ledger.outstanding(), 3u);
+  ASSERT_TRUE(ledger.Consume(1, a));
+  // A repeat of a consumed digest is rejected even though other digests
+  // (b at shard 1, a at shard 2) are still outstanding.
+  EXPECT_FALSE(ledger.Consume(1, a));
+  // Wrong owner shard, wrong epoch, a position off by one ulp: all rejected
+  // without consuming the real entry.
+  EXPECT_FALSE(ledger.Consume(3, b));
+  EXPECT_FALSE(ledger.Consume(1, Digest(5, 8, -4.0, 8.5)));
+  EXPECT_FALSE(
+      ledger.Consume(1, Digest(5, 7, std::nextafter(-4.0, 0.0), 8.5)));
+  EXPECT_EQ(ledger.outstanding(), 2u);
+  EXPECT_TRUE(ledger.Consume(1, b));
+  EXPECT_TRUE(ledger.Consume(2, a));
+  EXPECT_EQ(ledger.outstanding(), 0u);
+  EXPECT_FALSE(ledger.Consume(2, a));
 }
 
 // ---------------------------------------------------------------------------

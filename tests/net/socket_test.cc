@@ -141,27 +141,28 @@ TraceDecisions ReplayTrace(const std::vector<std::vector<uint8_t>>& messages,
       out.log.push_back(plan.is_retransmit ? "retx" : "tx");
       const bool data_arrives = data_fate[data_i++ % data_fate.size()];
       if (!data_arrives) continue;  // Wire ate it; the timer will retry.
-      ReliabilityPolicy::RxResult rx =
-          receiver.OnDatagram(0, plan.frame->data(), plan.frame->size());
+      Frame frame;
+      ReliabilityPolicy::RxResult rx = receiver.OnDatagram(
+          0, plan.frame->data(), plan.frame->size(), &frame);
       switch (rx.verdict) {
         case ReliabilityPolicy::RxResult::Verdict::kDeliver:
-          out.log.push_back("deliver:" + std::to_string(rx.frame.seq));
+          out.log.push_back("deliver:" + std::to_string(frame.seq));
           out.delivered += 1;
           break;
         case ReliabilityPolicy::RxResult::Verdict::kDuplicate:
-          out.log.push_back("dup:" + std::to_string(rx.frame.seq));
+          out.log.push_back("dup:" + std::to_string(frame.seq));
           break;
         default:
           out.log.push_back("unexpected");
           break;
       }
       // Every copy is acked (kDeliver and kDuplicate alike).
-      const std::vector<uint8_t> ack =
-          EncodeFrame(MsgKind::kAck, rx.frame.seq, {});
+      const std::vector<uint8_t> ack = EncodeFrame(MsgKind::kAck, frame.seq, {});
       const bool ack_arrives = ack_fate[ack_i++ % ack_fate.size()];
       if (!ack_arrives) continue;
+      Frame ack_frame;
       ReliabilityPolicy::RxResult sx =
-          sender.OnDatagram(kDst, ack.data(), ack.size());
+          sender.OnDatagram(kDst, ack.data(), ack.size(), &ack_frame);
       out.log.push_back(sx.acked_pending ? "acked" : "stale-ack");
       if (sx.acked_pending) break;  // Delivered; next message.
     }
@@ -232,8 +233,9 @@ TEST(ReliabilityPolicyTest, TotalLossExhaustsRetriesAndLatchesFailure) {
 TEST(ReliabilityPolicyTest, CorruptBytesRejectedWithoutStateChange) {
   ReliabilityPolicy policy(0.05, 3);
   const std::vector<uint8_t> garbage = {0xde, 0xad, 0xbe, 0xef, 0x00};
+  Frame decoded;
   ReliabilityPolicy::RxResult rx =
-      policy.OnDatagram(0, garbage.data(), garbage.size());
+      policy.OnDatagram(0, garbage.data(), garbage.size(), &decoded);
   EXPECT_EQ(rx.verdict, ReliabilityPolicy::RxResult::Verdict::kCorrupt);
   EXPECT_EQ(policy.corrupt_frames(), 1u);
 
@@ -245,7 +247,7 @@ TEST(ReliabilityPolicyTest, CorruptBytesRejectedWithoutStateChange) {
   msg.epoch = 3;
   const std::vector<uint8_t> frame =
       EncodeFrame(MsgKind::kAlert, 1, Encode(msg));
-  rx = policy.OnDatagram(0, frame.data(), frame.size() - 3);
+  rx = policy.OnDatagram(0, frame.data(), frame.size() - 3, &decoded);
   EXPECT_EQ(rx.verdict, ReliabilityPolicy::RxResult::Verdict::kCorrupt);
   EXPECT_EQ(policy.corrupt_frames(), 2u);
   EXPECT_EQ(policy.dedup_discards(), 0u);
