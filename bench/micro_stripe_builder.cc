@@ -72,5 +72,48 @@ void BM_SolveRadiusOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveRadiusOnly);
 
+/// Radius solves shaped like kf_rush's (Stripe+KF on commuter_rush): the
+/// per-step sigma grows from ~220 m at m = 1 to ~1.5 km at m = 20, the cap
+/// is the builder's max(sigma_cap_mult * sigma, min_radius), the user moves
+/// ~200 m/epoch, and each of the F friends sits 100-1800 m outside a
+/// ~300-440 m alert radius with an approach-scaled speed of 0-22 m/epoch —
+/// or, for one friend in five, a parked 8e-5 m/epoch, whose steep E_p
+/// makes the bisection run to ~40 steps. 256 inputs per shape are cycled
+/// so no single branch history is timed.
+void BM_SolveRadiusKfRush(benchmark::State& state) {
+  const int num_friends = static_cast<int>(state.range(0));
+  const int m = static_cast<int>(state.range(1));
+  StripeBuildConfig config;
+  for (int step = 1; step <= 20; ++step) {
+    config.sigma_per_step.push_back(150.0 * (1.0 + 0.45 * step));
+  }
+  const double sigma = config.SigmaForStep(m == 0 ? 1 : m);
+  const double cap = std::max(config.sigma_cap_mult * sigma, config.min_radius);
+  Rng rng(17);
+  struct Input {
+    std::vector<FriendGap> gaps;
+    double speed;
+  };
+  std::vector<Input> inputs(256);
+  for (Input& in : inputs) {
+    in.speed = rng.Uniform(140.0, 270.0);
+    for (int i = 0; i < num_friends; ++i) {
+      const double alert = rng.Uniform(290.0, 440.0);
+      const double speed = rng.NextBool(0.2)
+                               ? 8e-5
+                               : std::max(rng.Uniform(0.0, 22.0), 1e-6);
+      in.gaps.push_back({alert + rng.Uniform(100.0, 1800.0), alert, speed});
+    }
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const Input& in = inputs[i++ & 255];
+    benchmark::DoNotOptimize(SolveStripeRadius(in.gaps, m, sigma, in.speed,
+                                               cap, config.epsilon));
+  }
+}
+BENCHMARK(BM_SolveRadiusKfRush)
+    ->ArgsProduct({{0, 1, 2, 4}, {0, 1, 5, 10, 20}});
+
 }  // namespace
 }  // namespace proxdet

@@ -37,11 +37,13 @@
 # invariance across thread counts is exactly the property TSan and the
 # OBS-OFF build must not perturb.
 #
-# A fourth leg runs the `simd` and `pair_check` suites under
+# A fourth leg runs the `simd`, `pair_check` and `core` suites under
 # -DPROXDET_SANITIZE=undefined: the branchless lane arithmetic in the
 # vector kernels (masked selects, safe-divisor guards) must not hide UB —
 # every lane's intermediate math has to be well-defined even where a mask
-# discards it, including the pair check's batched gap < r lanes.
+# discards it, including the pair check's batched gap < r lanes — and the
+# radius solve's erf-table index, a double-to-int conversion, is checked
+# by -fsanitize=float-cast-overflow across the core suite's 10^6 solves.
 #
 # A fifth leg runs the protocol and observability suites — `net`, `shard`,
 # `latency`, `socket` and `obs` — under -DPROXDET_SANITIZE=address. The
@@ -82,7 +84,8 @@ ctest --test-dir "$SIMD_OFF_BUILD_DIR" -L "$LABELS" --output-on-failure -j "$JOB
 
 cmake -B "$UBSAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=undefined "$@"
 cmake --build "$UBSAN_BUILD_DIR" -j "$JOBS"
-ctest --test-dir "$UBSAN_BUILD_DIR" -L 'simd|pair_check' --output-on-failure -j "$JOBS"
+ctest --test-dir "$UBSAN_BUILD_DIR" -L 'simd|pair_check|core' \
+  --output-on-failure -j "$JOBS"
 
 cmake -B "$ASAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=address "$@"
 cmake --build "$ASAN_BUILD_DIR" -j "$JOBS"

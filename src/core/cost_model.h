@@ -43,11 +43,60 @@ double RadiusUpperBound(const std::vector<FriendGap>& gaps);
 double InitializationRadius(double my_speed, double friend_speed,
                             double center_distance, double alert_radius);
 
+/// A cheap, certified view of E_m(s) - e_p, where E_m(s) is the exact
+/// double ExpectedExitTime(s, speed, StayProbability(s, sigma), m)
+/// (DESIGN.md §2.2): a static piecewise-cubic erf table, an integer
+/// power, per-solve reciprocals, and the gap scaled by 1 - p so no division
+/// is needed. SolveStripeRadius decides its bisection steps from it; it is
+/// public so the bound can be tested directly.
+class ExitTimeScreen {
+ public:
+  /// `speed` is the solver's clamped speed (>= 1e-9).
+  ExitTimeScreen(int m, double sigma, double speed);
+
+  /// (E_m(s) - e_p) * scale lies within margin / 2 of value, scale > 0.
+  /// The bound covers the interpolation, both sides' rounding and the
+  /// reference's own erf/pow error. margin = 0: value is exactly the
+  /// rounded E_m(s) - e_p (m = 0, where E_m = s / speed). margin = +inf:
+  /// nothing is proven (1 - p too small, sigma NaN or subnormal, m < 0).
+  /// exit_noise bounds |E_m(s') - E(s')| at every s' <= s, where E(s') =
+  /// s'/speed + g(erf(s' / (sigma sqrt 2))), g(p) = p + ... + p^m, is the
+  /// true, real-valued and increasing function E_m rounds (+inf where
+  /// nothing is proven).
+  struct Gap {
+    double value = 0.0;
+    double scale = 1.0;
+    double margin = 0.0;
+    double exit_noise = 0.0;
+  };
+  /// Requires s >= 0 and finite.
+  Gap At(double s, double e_p) const;
+
+ private:
+  int m_;
+  bool exact_;      // m == 0: E_m = s / speed, bit for bit.
+  bool screened_;   // Otherwise false: every gap is unbounded.
+  double speed_;
+  double inv_speed_;
+  double table_scale_;
+  const double* erf_pieces_;
+  double horizon_;    // m as a double
+  double lipschitz_;  // m (m + 1) / 2 = max dE_m/dp
+};
+
 /// Result of solving E_m = E_p for one fixed m.
 struct RadiusSolution {
   double radius = 0.0;
   double e_m = 0.0;
   double e_p = 0.0;
+  /// StayProbability(radius, sigma) and its m-th power (the chance of
+  /// staying inside through all m steps, Algorithm 2's p_min test), from
+  /// the same evaluation as e_m.
+  double stay = 0.0;
+  double stay_pow = 1.0;
+  /// Exact E_m evaluations (one erf, one pow) the solve made: 1 for the
+  /// returned solution plus one per step its screen could not decide.
+  int exact_evaluations = 0;
   /// min(e_m, e_p): the objective Algorithm 2 maximizes over m.
   double Objective() const { return e_m < e_p ? e_m : e_p; }
 };
@@ -56,7 +105,13 @@ struct RadiusSolution {
 /// - with no friends, returns `radius_cap` (bigger is strictly better);
 /// - when E_m <= E_p already holds at the upper-bound radius, returns the
 ///   upper bound (decreasing the radius only widens the gap);
-/// - otherwise bisects on [0, upper] for |E_m - E_p| < epsilon.
+/// - otherwise bisects on [0, upper] for |E_m - E_p| < epsilon, at most
+///   100 steps.
+/// Each step's tests are decided, in order of cost, from E_p against a
+/// proven bracket of E_m, from ExitTimeScreen's bound, or from the exact
+/// expression, so the iterates — and the returned solution, always
+/// evaluated exactly — are those of the plain bisection bit for bit
+/// (DESIGN.md §2.2).
 /// `sigma` is the predictor's calibrated error scale; `speed` the user's
 /// m/epoch estimate. Requires RadiusUpperBound(gaps) > 0 (probe logic
 /// upstream guarantees it).

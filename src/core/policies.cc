@@ -34,6 +34,12 @@ struct StripeMetrics {
   /// (CPUID, -DPROXDET_SIMD), so it is wall-clock-kinded and stays out of
   /// the deterministic digest.
   obs::Counter& dispatches;
+  /// Radius solves and the exact E_m evaluations they made (the screened
+  /// bisection's fallbacks plus one per returned solution). Whether a step
+  /// falls back depends on the host's erf in its last bits, so these are
+  /// wall-clock-kinded and stay out of the deterministic digest too.
+  obs::Counter& radius_solves;
+  obs::Counter& exact_evaluations;
 
   static const StripeMetrics& Get() {
     static const StripeMetrics metrics{
@@ -60,6 +66,10 @@ struct StripeMetrics {
             std::string("simd.dispatch.") +
                 simd::BackendName(simd::ActiveBackend()),
             obs::Kind::kWallClock),
+        obs::Metrics().GetCounter("stripe.radius_solves",
+                                  obs::Kind::kWallClock),
+        obs::Metrics().GetCounter("stripe.exact_evaluations",
+                                  obs::Kind::kWallClock),
     };
     return metrics;
   }
@@ -211,6 +221,8 @@ SafeRegionShape StripePolicy::BuildRegion(
   sm.batch_points.Record(static_cast<double>(result.staged_point_lanes));
   sm.batch_segments.Record(static_cast<double>(result.staged_segment_lanes));
   sm.dispatches.Inc(result.kernel_dispatches);
+  sm.radius_solves.Inc(result.radius_solves);
+  sm.exact_evaluations.Inc(result.exact_evaluations);
   return result.stripe;
 }
 

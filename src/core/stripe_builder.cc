@@ -283,6 +283,8 @@ StripeBuildResult BuildPredictiveStripe(
   best.solution = SolveStripeRadius(gaps, 0, config.SigmaForStep(1),
                                     user_speed, radius_cap_for(1),
                                     config.epsilon);
+  size_t solves = 1;
+  size_t exact_evaluations = best.solution.exact_evaluations;
 
   // When the Eq. (8) approximation drives the optimization, exact prefix
   // minima are still tracked so the chosen radius can be clamped to the
@@ -403,8 +405,14 @@ StripeBuildResult BuildPredictiveStripe(
     const double sigma_m = config.SigmaForStep(m);
     RadiusSolution sol = SolveStripeRadius(
         gaps, m, sigma_m, user_speed, radius_cap_for(m), config.epsilon);
+    ++solves;
+    exact_evaluations += sol.exact_evaluations;
     if (config.use_eq8_distance) {
+      // Clamped after the solve: the stay fields follow the clamped radius
+      // (e_m and e_p keep the unclamped evaluation's values).
       sol.radius = std::min(sol.radius, RadiusUpperBound(exact_gaps));
+      sol.stay = StayProbability(sol.radius, sigma_m);
+      sol.stay_pow = std::pow(sol.stay, m);
     }
     if (sol.Objective() > best.solution.Objective()) {
       best.solution = sol;
@@ -412,8 +420,7 @@ StripeBuildResult BuildPredictiveStripe(
     }
     // Confidence floor: once reaching step m is too unlikely, longer
     // stripes only dilute the cost model (Algorithm 2's p_min cutoff).
-    const double p = StayProbability(sol.radius, sigma_m);
-    if (std::pow(p, m) < config.p_min) break;
+    if (sol.stay_pow < config.p_min) break;
   }
   best.stripe = Stripe(
       Polyline(std::vector<Vec2>(anchors.begin(),
@@ -422,6 +429,8 @@ StripeBuildResult BuildPredictiveStripe(
   best.staged_point_lanes = staged.ptx.size();
   best.staged_segment_lanes = staged.sax.size();
   best.kernel_dispatches = dispatches;
+  best.radius_solves = solves;
+  best.exact_evaluations = exact_evaluations;
   return best;
 }
 

@@ -87,6 +87,10 @@ struct StripeBuildResult {
   size_t staged_point_lanes = 0;
   size_t staged_segment_lanes = 0;
   size_t kernel_dispatches = 0;
+  /// Radius solves (one per horizon tried, m = 0 included) and the exact
+  /// E_m evaluations they made (RadiusSolution::exact_evaluations).
+  size_t radius_solves = 0;
+  size_t exact_evaluations = 0;
 };
 
 /// Algorithm 2: given the user's exact location, the predictor's future
