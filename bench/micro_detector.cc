@@ -228,9 +228,10 @@ int Main() {
         // a >= 1.5x single-thread speedup over the pre-SIMD tree on the
         // reference points. Quick mode uses a different workload size, so
         // the reference numbers do not apply there.
-        // Scalar-only builds (-DPROXDET_SIMD=OFF, or a self-check fallback)
-        // cannot meet a gate defined as a SIMD speedup; they are covered by
-        // the bit-exactness checks above, not the throughput floor.
+        // Scalar-only runs (PROXDET_SIMD_FORCE=scalar, a CPU without AVX2,
+        // or a self-check fallback) cannot meet a gate defined as a SIMD
+        // speedup; they are covered by the bit-exactness checks above, not
+        // the throughput floor.
         const bool simd_active =
             simd::ActiveBackend() != simd::Backend::kScalar;
         if (!quick && simd_active && method == Method::kStripeKf &&

@@ -13,16 +13,13 @@
 # genuinely read-only and the link is only touched from commit sections —
 # TSan is the check that they are.
 #
-# A second leg configures a tree with -DPROXDET_OBS=OFF and runs the same
-# labelled suites there: every counter/histogram/trace call site must
-# compile and behave identically against the noop observability surface
-# (the shard frontend's per-shard counters and batch-fill histogram
-# included).
-#
-# A third leg configures a tree with -DPROXDET_SIMD=OFF: the scalar-only
-# build of the geometry kernels must pass the same suites (the simd suite
-# collapses to scalar-vs-scalar identity there, and the pair-check
-# properties prove the engines are backend-agnostic).
+# A second pass runs the same labelled suites in the plain `build` tree
+# (the tier-1 tree, built here if it is not already) with
+# PROXDET_SIMD_FORCE=scalar: dispatch then binds only the scalar kernels,
+# so the engines, the pair check and the network suites are proven on the
+# scalar backend without a tree of their own. The simd suite's
+# SimdDispatchTest.ForceVariablePinsBackendAtFirstUse fails this pass if the
+# variable did not pin the scalar backend.
 #
 # The `socket`-labelled suite (the real-socket UDP backend) runs in every
 # labelled leg, most importantly the TSan tree: the epoll loop threads only
@@ -34,18 +31,21 @@
 # The `latency`-labelled suite (causal tracing + detect->deliver latency
 # accounting) also runs in every labelled leg: the tracker is fed from the
 # same serial commit sections as the link, and its deterministic digest
-# invariance across thread counts is exactly the property TSan and the
-# OBS-OFF build must not perturb.
+# invariance across thread counts is exactly the property TSan must not
+# perturb.
 #
-# A fourth leg runs the `simd`, `pair_check` and `core` suites under
+# A third leg runs the `simd`, `pair_check`, `core` and `engine` suites under
 # -DPROXDET_SANITIZE=undefined: the branchless lane arithmetic in the
 # vector kernels (masked selects, safe-divisor guards) must not hide UB —
 # every lane's intermediate math has to be well-defined even where a mask
 # discards it, including the pair check's batched gap < r lanes — and the
 # radius solve's erf-table index, a double-to-int conversion, is checked
 # by -fsanitize=float-cast-overflow across the core suite's 10^6 solves.
+# The `engine` suite (naive detectors, policies, every method against the
+# ground truth, the simulation loop, the region detector) runs the same
+# kernels end to end.
 #
-# A fifth leg runs the protocol and observability suites — `net`, `shard`,
+# A fourth leg runs the protocol and observability suites — `net`, `shard`,
 # `latency`, `socket` and `obs` — under -DPROXDET_SANITIZE=address. The
 # transport recycles frame buffers through a pool, keeps pending frames in
 # per-peer ring slots, decodes into a per-thread scratch frame and records
@@ -54,16 +54,13 @@
 #
 #   scripts/check.sh [extra cmake args...]
 #
-# BUILD_DIR / OBS_OFF_BUILD_DIR / SIMD_OFF_BUILD_DIR / UBSAN_BUILD_DIR /
-# ASAN_BUILD_DIR override the build trees (defaults: build-tsan,
-# build-obs-off, build-simd-off, build-ubsan and build-asan, kept separate
-# from the plain `build` tree so the configurations never fight).
+# BUILD_DIR / UBSAN_BUILD_DIR / ASAN_BUILD_DIR override the sanitizer trees
+# (defaults: build-tsan, build-ubsan and build-asan, kept separate from the
+# plain `build` tree so the configurations never fight).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build-tsan}"
-OBS_OFF_BUILD_DIR="${OBS_OFF_BUILD_DIR:-build-obs-off}"
-SIMD_OFF_BUILD_DIR="${SIMD_OFF_BUILD_DIR:-build-simd-off}"
 UBSAN_BUILD_DIR="${UBSAN_BUILD_DIR:-build-ubsan}"
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 JOBS="$(nproc)"
@@ -74,17 +71,14 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 PROXDET_THREADS="${PROXDET_THREADS:-4}" \
   ctest --test-dir "$BUILD_DIR" -L "$LABELS" --output-on-failure -j "$JOBS"
 
-cmake -B "$OBS_OFF_BUILD_DIR" -S . -DPROXDET_OBS=OFF "$@"
-cmake --build "$OBS_OFF_BUILD_DIR" -j "$JOBS"
-ctest --test-dir "$OBS_OFF_BUILD_DIR" -L "$LABELS" --output-on-failure -j "$JOBS"
-
-cmake -B "$SIMD_OFF_BUILD_DIR" -S . -DPROXDET_SIMD=OFF "$@"
-cmake --build "$SIMD_OFF_BUILD_DIR" -j "$JOBS"
-ctest --test-dir "$SIMD_OFF_BUILD_DIR" -L "$LABELS" --output-on-failure -j "$JOBS"
+cmake -B build -S . "$@"
+cmake --build build -j "$JOBS"
+PROXDET_SIMD_FORCE=scalar \
+  ctest --test-dir build -L "$LABELS" --output-on-failure -j "$JOBS"
 
 cmake -B "$UBSAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=undefined "$@"
 cmake --build "$UBSAN_BUILD_DIR" -j "$JOBS"
-ctest --test-dir "$UBSAN_BUILD_DIR" -L 'simd|pair_check|core' \
+ctest --test-dir "$UBSAN_BUILD_DIR" -L 'simd|pair_check|core|engine' \
   --output-on-failure -j "$JOBS"
 
 cmake -B "$ASAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=address "$@"

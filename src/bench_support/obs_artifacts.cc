@@ -85,7 +85,6 @@ void AddShardNetSections(obs::RunReport* report,
 
 bool ReconcileWithCommStats(const obs::MetricsSnapshot& snapshot,
                             const CommStats& stats, std::string* error) {
-  if (snapshot.counters.empty()) return true;  // Observability compiled out.
   bool ok = true;
   CheckField(snapshot, "engine.reports", stats.reports, &ok, error);
   CheckField(snapshot, "engine.probes", stats.probes, &ok, error);

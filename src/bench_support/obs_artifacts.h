@@ -27,9 +27,8 @@ void AddShardNetSections(obs::RunReport* report, const net::NetRunStats& net);
 /// to the unit: every message-count field matches its engine.* counter, the
 /// byte totals match net.bytes_up/down/xshard, and — when per-shard
 /// counters are registered — the net.shard<i>.bytes_* sums equal the global
-/// direction totals. Trivially true when the snapshot carries no counters
-/// (observability compiled out). On failure returns false and appends a
-/// description per mismatch to *error.
+/// direction totals. On failure returns false and appends a description
+/// per mismatch to *error.
 bool ReconcileWithCommStats(const obs::MetricsSnapshot& snapshot,
                             const CommStats& stats, std::string* error);
 

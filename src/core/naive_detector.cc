@@ -36,7 +36,7 @@ struct NaiveMetrics {
 /// (the SoA lane count handed to the kernel) plus a lane counter — pure
 /// functions of the workload, so both stay in the deterministic digest.
 /// The dispatch counter is keyed by the runtime-selected backend, which
-/// depends on CPUID and -DPROXDET_SIMD, hence wall-clock-kinded.
+/// depends on CPUID and PROXDET_SIMD_FORCE, hence wall-clock-kinded.
 struct SimdScanMetrics {
   obs::HistogramMetric& pair_scan_batch;
   obs::Counter& pair_scan_lanes;

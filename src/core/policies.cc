@@ -31,8 +31,8 @@ struct StripeMetrics {
   obs::HistogramMetric& batch_segments;
   /// Batched-kernel dispatches, keyed by the runtime-selected backend
   /// (simd.dispatch.scalar|w4|w8). The split is host- and build-dependent
-  /// (CPUID, -DPROXDET_SIMD), so it is wall-clock-kinded and stays out of
-  /// the deterministic digest.
+  /// (CPUID, PROXDET_SIMD_FORCE), so it is wall-clock-kinded and stays out
+  /// of the deterministic digest.
   obs::Counter& dispatches;
   /// Radius solves and the exact E_m evaluations they made (the screened
   /// bisection's fallbacks plus one per returned solution). Whether a step

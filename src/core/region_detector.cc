@@ -56,7 +56,7 @@ struct EngineMetrics {
 /// backend. Batch sizes are chunk-shaped — the grains below are fixed, so
 /// the histograms are pure functions of the workload and stay in the
 /// deterministic digest. The scalar-vs-w4-vs-w8 split depends on CPUID and
-/// -DPROXDET_SIMD, so the dispatch counter is wall-clock-kinded.
+/// PROXDET_SIMD_FORCE, so the dispatch counter is wall-clock-kinded.
 /// Recording happens at most a few times per chunk, never per lane.
 struct SimdScanMetrics {
   obs::HistogramMetric& exit_batch;

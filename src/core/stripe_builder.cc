@@ -5,6 +5,7 @@
 #include <limits>
 #include <variant>
 
+#include "geom/anchor_grid.h"
 #include "geom/simd/simd.h"
 #include "region/region_batch.h"
 
@@ -65,18 +66,6 @@ double SegmentToShape(const Vec2& a, const Vec2& b,
         }
       },
       shape);
-}
-
-/// Snap one coordinate onto the quantization grid. Coordinates too large
-/// for an exact grid index (beyond ~2^52 grid cells) pass through unsnapped
-/// — the codec's own exactness check will then ship them uncompressed.
-double SnapToGrid(double v, double grid) {
-  if (!std::isfinite(v) || std::abs(v) * grid > 4.5e15) return v;
-  return static_cast<double>(std::llround(v * grid)) / grid;
-}
-
-Vec2 SnapToGrid(const Vec2& p, double grid) {
-  return {SnapToGrid(p.x, grid), SnapToGrid(p.y, grid)};
 }
 
 /// Friend constraints staged once per build for the per-m scans: one SoA
@@ -204,13 +193,10 @@ StripeBuildResult BuildPredictiveStripe(
   // Quantize the anchors up front: all clearance and radius math below then
   // sees the snapped coordinates, so the safety guarantee is established for
   // the stripe the client will actually receive (wire-compressible as-is).
-  Vec2 current_q = current;
+  const Vec2 current_q = SnapToAnchorGrid(current);
   std::vector<Vec2>& predicted = scratch.predicted;
-  predicted.assign(predicted_in.begin(), predicted_in.end());
-  if (config.quantize_grid > 0.0) {
-    current_q = SnapToGrid(current, config.quantize_grid);
-    for (Vec2& p : predicted) p = SnapToGrid(p, config.quantize_grid);
-  }
+  predicted.clear();
+  for (const Vec2& p : predicted_in) predicted.push_back(SnapToAnchorGrid(p));
   const auto radius_cap_for = [&config](int m) {
     return std::max(config.sigma_cap_mult * config.SigmaForStep(m),
                     config.min_radius);

@@ -66,14 +66,6 @@ struct StripeBuildConfig {
   /// The approximation can only overestimate clearance, so the final radius
   /// is still clamped against the exact bound (safety is never traded).
   bool use_eq8_distance = false;
-  /// Anchor quantization grid (cells per meter; 0 disables). Stripe anchors
-  /// are snapped to this grid *before* any clearance or radius math, so the
-  /// built stripe is already exactly representable by the wire codec's
-  /// quantized-delta polyline encoding (net/wire.h, kWireQuantScale) — the
-  /// server ships the compressed form and the guarantee still holds, because
-  /// every gap and radius was derived from the snapped anchors. Sub-4mm
-  /// displacement at the default 1/256 m grid, far below sigma.
-  double quantize_grid = 256.0;
 };
 
 struct StripeBuildResult {
@@ -96,7 +88,10 @@ struct StripeBuildResult {
 /// Algorithm 2: given the user's exact location, the predictor's future
 /// locations and the friend constraints, pick the (m, s) pair maximizing
 /// min(E_m, E_p). The stripe path is anchored at the current location so
-/// the user is inside the region it is handed.
+/// the user is inside the region it is handed. Every anchor is first snapped
+/// onto the anchor grid (geom/anchor_grid.h, sub-4 mm, far below sigma), so
+/// the stripe ships as the wire's quantized-delta polyline as-is; all
+/// clearance and radius math sees the snapped anchors.
 ///
 /// Guarantee: the returned stripe keeps distance >= alert_radius from every
 /// constraint region (E_p >= 0 by construction), so installing it preserves

@@ -1,12 +1,25 @@
 #include "core/world.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <unordered_map>
 
 #include "exec/thread_pool.h"
 
 namespace proxdet {
+
+namespace {
+
+[[noreturn]] void UnreadableEpoch(int epoch, int first, int end) {
+  std::fprintf(stderr,
+               "FATAL: World::Position read epoch %d outside the streaming "
+               "window [%d, %d); call BeginEpoch(epoch) first.\n",
+               epoch, first, end);
+  std::abort();
+}
+
+}  // namespace
 
 void SortAlerts(std::vector<AlertEvent>* alerts) {
   std::sort(alerts->begin(), alerts->end());
@@ -59,8 +72,12 @@ Vec2 World::Position(UserId u, int epoch) const {
   if (stream_) {
     const StreamState& s = *stream_;
     // Readable epochs are the ring window ending at the BeginEpoch cursor;
-    // anything else means a driver skipped its BeginEpoch call.
-    assert(epoch < s.generated && epoch >= s.generated - kStreamWindow);
+    // anything else means a caller skipped its BeginEpoch call, and reading
+    // the ring there would return another epoch's row (or index before it).
+    const int first = std::max(0, s.generated - kStreamWindow);
+    if (epoch < first || epoch >= s.generated) {
+      UnreadableEpoch(epoch, first, s.generated);
+    }
     const size_t n = s.gen->user_count();
     return s.ring[static_cast<size_t>(epoch % kStreamWindow) * n +
                   static_cast<size_t>(u)];

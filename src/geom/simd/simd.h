@@ -23,8 +23,7 @@ namespace simd {
 ///
 /// Backends: a scalar reference (always compiled; also the tail loop of
 /// every vector kernel), a 4-wide AVX2 unit and an 8-wide AVX-512F unit
-/// (compiled only when PROXDET_SIMD=ON and the compiler supports the
-/// flags). Dispatch picks the widest backend the running CPU supports —
+/// (compiled whenever the compiler accepts -mavx2 / -mavx512f). Dispatch picks the widest backend the running CPU supports —
 /// but only after a one-time bitwise self-check against the scalar
 /// reference on deterministic pseudo-random batches; a backend that fails
 /// verification is never used (the "runtime-verified scalar fallback").
@@ -56,8 +55,8 @@ enum class Backend : int { kScalar = 0, kW4 = 1, kW8 = 2 };
 /// after the first call.
 Backend ActiveBackend();
 const char* BackendName(Backend b);
-/// True when the simd library was configured with PROXDET_SIMD=ON (vector
-/// backends compiled in — though the CPU still decides what runs).
+/// True when at least one vector backend is compiled in (the compiler
+/// accepted its arch flag) — though the CPU still decides what runs.
 bool CompiledWithSimd();
 /// False only when a compiled vector backend failed the startup bitwise
 /// self-check and was rejected (the run then proceeds on scalar).

@@ -27,6 +27,9 @@ uint64_t Mix64(uint64_t x) {
 /// the ring even in principle.
 constexpr uint64_t kUserKeySalt = 0x517cc1b727220a95ULL;
 
+/// Virtual nodes per shard on the consistent-hash ring.
+constexpr int kRingVnodes = 16;
+
 /// Batch-fill histogram: how many messages each downlink flush carried.
 obs::HistogramMetric& BatchFillHistogram() {
   static obs::HistogramMetric& h = obs::Metrics().GetHistogram(
@@ -98,7 +101,7 @@ bool DigestLedger::Consume(int shard, const LocationReportMsg& digest) {
 ShardedFrontend::ShardedFrontend(const World& world, const NetConfig& config)
     : world_(world),
       config_(config),
-      ring_(config.shards, config.ring_vnodes),
+      ring_(config.shards, kRingVnodes),
       graph_(world.graph()) {
   const int user_count = static_cast<int>(world.user_count());
   const int shard_count = ring_.shard_count();
@@ -108,7 +111,6 @@ ShardedFrontend::ShardedFrontend(const World& world, const NetConfig& config)
     if (!socket_server_->ok()) failed_ = true;
   } else {
     sim_net_ = std::make_unique<SimNet>(config.seed);
-    sim_net_->set_record_log(config.record_log);
     net_ = sim_net_.get();
   }
   home_.resize(user_count);

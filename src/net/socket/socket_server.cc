@@ -16,7 +16,6 @@ UdpNetConfig MakeUdpConfig(const NetConfig& config, int shard_count) {
   c.dup_rate = config.udp_dup_rate;
   c.seed = config.seed;
   c.idle_timeout_s = config.udp_idle_timeout_s;
-  c.force_poll = config.udp_force_poll;
   return c;
 }
 

@@ -32,15 +32,12 @@ struct NetConfig {
   uint64_t seed = 0x9e3779b97f4a7c15ULL;
   double retry_timeout_s = 0.05;
   int max_retries = 64;
-  bool record_log = false;  // Keep the full DeliveryRecord log (tests).
   /// Serving-plane partition count. Users map to shards by consistent
   /// hashing on UserId (net::HashRing); each shard runs its own
   /// ProtocolServer plus a mesh endpoint for shard-to-shard traffic.
   /// shards == 1 reproduces the historical single-server wire schedule
   /// bit-for-bit (same endpoint ids, same frames, same Rng draws).
   int shards = 1;
-  /// Virtual nodes per shard on the consistent-hash ring.
-  int ring_vnodes = 16;
   /// Coalesce all deliverable-at-epoch-granularity downlink for one client
   /// (installs, alerts, non-blocking probes) into a single kBatch frame per
   /// epoch instead of one frame + ack per message.
@@ -75,8 +72,6 @@ struct NetConfig {
   /// RunUntilIdle watchdog: a run making no progress for this long is
   /// flagged failed instead of hanging.
   double udp_idle_timeout_s = 60.0;
-  /// Use the portable poll(2) readiness path even where epoll exists.
-  bool udp_force_poll = false;
 };
 
 /// Per-shard wire accounting inside a sharded transported run. Uplink is

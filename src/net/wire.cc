@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "geom/anchor_grid.h"
+
 namespace proxdet {
 namespace net {
 
@@ -22,21 +24,13 @@ double BitsDouble(uint64_t bits) {
   return v;
 }
 
-/// Grid-index bound of the quantized codec. Indices this small are exact in
-/// a double (|q| << 2^53), so double(q) / kWireQuantScale loses nothing,
-/// and llround below never overflows.
-constexpr int64_t kMaxQuantIndex = int64_t{1} << 45;
-
 /// Grid index of an on-grid coordinate; sets *exact to false when the
-/// coordinate is off-grid or out of range.
+/// coordinate is off-grid or has no grid index.
 int64_t QuantIndex(double v, bool* exact) {
-  if (!std::isfinite(v) || std::abs(v) * kWireQuantScale >
-                               static_cast<double>(kMaxQuantIndex)) {
+  int64_t q = 0;
+  if (!NearestAnchorGridIndex(v, &q) || AnchorGridCoordinate(q) != v) {
     *exact = false;
-    return 0;
   }
-  const int64_t q = std::llround(v * kWireQuantScale);
-  if (static_cast<double>(q) / kWireQuantScale != v) *exact = false;
   return q;
 }
 
@@ -245,14 +239,14 @@ bool WireReader::GetPointsQuantized(std::vector<Vec2>* out) {
   for (uint64_t i = 0; i < count; ++i) {
     qx += GetZigzag();
     qy += GetZigzag();
-    if (!ok_ || std::abs(qx) > kMaxQuantIndex || std::abs(qy) > kMaxQuantIndex) {
+    if (!ok_ || std::abs(qx) > kMaxAnchorGridIndex ||
+        std::abs(qy) > kMaxAnchorGridIndex) {
       ok_ = false;
       return false;
     }
     // Exact: the grid index is exact in a double and the scale is a power
     // of two, so this reproduces the encoder's input bit-for-bit.
-    out->push_back({static_cast<double>(qx) / kWireQuantScale,
-                    static_cast<double>(qy) / kWireQuantScale});
+    out->push_back({AnchorGridCoordinate(qx), AnchorGridCoordinate(qy)});
   }
   return ok_;
 }

@@ -131,11 +131,11 @@ class WireWriter {
   /// bytes, a stationary window costs 1 byte per coordinate.
   void PutPoints(const std::vector<Vec2>& points);
   /// Quantized-delta point list: varint count, then per point the zigzag
-  /// delta of each coordinate's 1/kWireQuantScale-grid index against the
-  /// previous point's. Roughly half the bytes of PutPoints on real paths —
-  /// but only exact for on-grid coordinates, so callers must check
-  /// PointsQuantizable() first (the region-install codec falls back to the
-  /// exact XOR-delta coding otherwise).
+  /// delta of each coordinate's anchor-grid index (geom/anchor_grid.h)
+  /// against the previous point's. Roughly half the bytes of PutPoints on
+  /// real paths — but only exact for on-grid coordinates, so callers must
+  /// check PointsQuantizable() first (the region-install codec falls back
+  /// to the exact XOR-delta coding otherwise).
   void PutPointsQuantized(const std::vector<Vec2>& points);
 
   const std::vector<uint8_t>& bytes() const { return *bytes_; }
@@ -183,18 +183,12 @@ uint32_t Fnv1a32(const uint8_t* data, size_t size);
 // ---------------------------------------------------------------------------
 // Quantized coordinate grid.
 
-/// Grid pitch of the quantized-delta point codec: 1/256 m (~4 mm). A power
-/// of two, so every on-grid coordinate is exactly representable as a double
-/// and the quantized codec round-trips bit-for-bit. The stripe builder
-/// snaps its path anchors to this grid at build time (see
-/// StripeBuildConfig::quantize_grid), which is what makes stripe installs
-/// compressible without any loss the server could not prove away.
-constexpr double kWireQuantScale = 256.0;
-
-/// True when every coordinate sits exactly on the 1/kWireQuantScale grid
-/// (and its grid index fits the codec's integer range), i.e. when
-/// PutPointsQuantized followed by GetPointsQuantized reproduces the input
-/// bit-for-bit.
+/// True when every coordinate sits exactly on the anchor grid and has a
+/// grid index (geom/anchor_grid.h), i.e. when PutPointsQuantized followed
+/// by GetPointsQuantized reproduces the input bit-for-bit. The stripe
+/// builder snaps its path anchors with the same rule, which is what makes
+/// stripe installs compressible without any loss the server could not
+/// prove away.
 bool PointsQuantizable(const std::vector<Vec2>& points);
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,3 @@
-#ifndef PROXDET_OBS_DISABLED
-
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
@@ -7,7 +5,6 @@
 
 namespace proxdet {
 namespace obs {
-inline namespace enabled {
 
 void FlightRecorder::set_capacity(size_t capacity) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -159,8 +156,5 @@ FlightRecorder& FlightRecorder::Global() {
   return *recorder;
 }
 
-}  // namespace enabled
 }  // namespace obs
 }  // namespace proxdet
-
-#endif  // PROXDET_OBS_DISABLED

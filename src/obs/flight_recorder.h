@@ -59,10 +59,6 @@ struct FlightEvent {
   double time_s = 0.0;
 };
 
-#ifndef PROXDET_OBS_DISABLED
-
-inline namespace enabled {
-
 /// Bounded per-shard ring buffer of recent protocol events. Each shard owns
 /// a fixed array of `capacity` slots (allocated on its first event) that
 /// the newest event overwrites once full, so recording is a slot store
@@ -134,40 +130,6 @@ class FlightRecorder {
   std::string dump_path_;
   std::vector<Ring> rings_;  // By shard + 1.
 };
-
-}  // namespace enabled
-
-#else  // PROXDET_OBS_DISABLED
-
-inline namespace noop {
-
-class FlightRecorder {
- public:
-  bool enabled() const { return false; }
-  void Enable() {}
-  void Disable() {}
-  void set_capacity(size_t) {}
-  size_t capacity() const { return 0; }
-  void set_dump_path(const std::string&) {}
-  std::string dump_path() const { return std::string(); }
-  void Record(const FlightEvent&) {}
-  void Clear() {}
-  std::vector<FlightEvent> snapshot() const { return {}; }
-  std::vector<FlightEvent> Head(size_t) const { return {}; }
-  uint64_t recorded() const { return 0; }
-  std::string ToJson(const std::string&) const {
-    return "{\"events\": []}\n";
-  }
-  bool DumpOnFailure(const std::string&) const { return false; }
-  static FlightRecorder& Global() {
-    static FlightRecorder recorder;
-    return recorder;
-  }
-};
-
-}  // namespace noop
-
-#endif  // PROXDET_OBS_DISABLED
 
 /// Shorthand for FlightRecorder::Global().
 inline FlightRecorder& Flight() { return FlightRecorder::Global(); }

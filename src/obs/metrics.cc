@@ -1,5 +1,3 @@
-#ifndef PROXDET_OBS_DISABLED
-
 #include "obs/metrics.h"
 
 #include <cctype>
@@ -142,5 +140,3 @@ MetricsRegistry& MetricsRegistry::Global() {
 
 }  // namespace obs
 }  // namespace proxdet
-
-#endif  // PROXDET_OBS_DISABLED

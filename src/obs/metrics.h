@@ -29,8 +29,6 @@ namespace obs {
 enum class Kind { kDeterministic, kWallClock };
 
 /// Point-in-time copy of every registered metric, grouped for reporting.
-/// Defined unconditionally (it is plain data): in the compiled-out build
-/// snapshots are simply empty.
 struct MetricsSnapshot {
   struct HistogramEntry {
     Kind kind = Kind::kWallClock;
@@ -91,14 +89,6 @@ struct MetricsSnapshot {
     return out;
   }
 };
-
-#ifndef PROXDET_OBS_DISABLED
-
-/// The live implementation. The inline namespace keeps the enabled and
-/// compiled-out types distinct at the ABI level (different mangled names),
-/// so a translation unit built with PROXDET_OBS_DISABLED can never collide
-/// with the library's real symbols.
-inline namespace enabled {
 
 /// Monotonic counter. Inc() is a single relaxed atomic add — safe from any
 /// thread, including pool workers inside parallel scans; relaxed ordering
@@ -251,78 +241,6 @@ class MetricsRegistry {
   std::map<std::string, Entry<HistogramMetric>> histograms_;
   std::map<std::string, Entry<QuantileMetric>> quantiles_;
 };
-
-}  // namespace enabled
-
-#else  // PROXDET_OBS_DISABLED
-
-/// Compiled-out mode: every handle is an empty inline no-op and the
-/// registry hands out shared stubs. Call sites compile unchanged and the
-/// optimizer deletes them entirely. Distinct inline namespace => distinct
-/// mangled names from the enabled build; nothing here links against
-/// metrics.cc.
-inline namespace noop {
-
-class Counter {
- public:
-  void Inc(uint64_t = 1) {}
-  uint64_t value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void Set(double) {}
-  void Add(double) {}
-  void MaxOf(double) {}
-  double value() const { return 0.0; }
-};
-
-class HistogramMetric {
- public:
-  void Record(double) {}
-  Histogram snapshot() const { return Histogram(); }
-};
-
-class QuantileMetric {
- public:
-  void Record(double) {}
-  StreamingQuantile snapshot() const { return StreamingQuantile(); }
-};
-
-class MetricsRegistry {
- public:
-  Counter& GetCounter(const std::string&, Kind = Kind::kDeterministic) {
-    return counter_;
-  }
-  Gauge& GetGauge(const std::string&, Kind = Kind::kWallClock) {
-    return gauge_;
-  }
-  HistogramMetric& GetHistogram(const std::string&,
-                                const std::vector<double>&,
-                                Kind = Kind::kWallClock) {
-    return histogram_;
-  }
-  QuantileMetric& GetQuantile(const std::string&, Kind = Kind::kWallClock) {
-    return quantile_;
-  }
-  void Reset() {}
-  MetricsSnapshot Snapshot() const { return MetricsSnapshot(); }
-  std::string PrometheusDump() const { return std::string(); }
-  static MetricsRegistry& Global() {
-    static MetricsRegistry registry;
-    return registry;
-  }
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  HistogramMetric histogram_;
-  QuantileMetric quantile_;
-};
-
-}  // namespace noop
-
-#endif  // PROXDET_OBS_DISABLED
 
 /// Shorthand for MetricsRegistry::Global().
 inline MetricsRegistry& Metrics() { return MetricsRegistry::Global(); }

@@ -19,9 +19,6 @@ namespace obs {
 /// separate keys, the same segregation CommStats::server_seconds follows —
 /// a report consumer can diff the "deterministic" subtree across runs and
 /// expect byte equality.
-///
-/// The report is plain data: it works identically in the
-/// PROXDET_OBS_DISABLED build (the captured snapshot is simply empty).
 class RunReport {
  public:
   explicit RunReport(std::string run_name) : name_(std::move(run_name)) {}

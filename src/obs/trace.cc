@@ -1,5 +1,3 @@
-#ifndef PROXDET_OBS_DISABLED
-
 #include "obs/trace.h"
 
 #include <cstdio>
@@ -138,5 +136,3 @@ Tracer& Tracer::Global() {
 
 }  // namespace obs
 }  // namespace proxdet
-
-#endif  // PROXDET_OBS_DISABLED

@@ -31,10 +31,6 @@ struct TraceEvent {
   uint64_t flow_id = 0;  // Links a kFlowStart to its kFlowEnd.
 };
 
-#ifndef PROXDET_OBS_DISABLED
-
-inline namespace enabled {
-
 /// Scoped-span tracer. Disabled by default: a disarmed TraceScope costs one
 /// relaxed atomic load and no clock read, so instrumentation can stay in
 /// hot paths permanently. When enabled, completed spans are appended to a
@@ -132,45 +128,6 @@ class TraceScope {
   const char* category_ = nullptr;
   uint64_t start_us_ = 0;
 };
-
-}  // namespace enabled
-
-#else  // PROXDET_OBS_DISABLED
-
-inline namespace noop {
-
-class Tracer {
- public:
-  bool enabled() const { return false; }
-  void Enable() {}
-  void Disable() {}
-  void Clear() {}
-  void set_capacity(size_t) {}
-  uint64_t NowMicros() const { return 0; }
-  void Record(const char*, const char*, uint64_t, uint64_t) {}
-  void FlowBegin(const char*, const char*, uint64_t) {}
-  void FlowEnd(const char*, const char*, uint64_t) {}
-  std::vector<TraceEvent> snapshot() const { return {}; }
-  uint64_t span_count() const { return 0; }
-  uint64_t dropped() const { return 0; }
-  std::string ToChromeTraceJson() const {
-    return "{\"traceEvents\": []}\n";
-  }
-  bool WriteChromeTrace(const std::string&) const { return false; }
-  static Tracer& Global() {
-    static Tracer tracer;
-    return tracer;
-  }
-};
-
-class TraceScope {
- public:
-  TraceScope(const char*, const char*) {}
-};
-
-}  // namespace noop
-
-#endif  // PROXDET_OBS_DISABLED
 
 }  // namespace obs
 }  // namespace proxdet

@@ -1,6 +1,6 @@
 // The per-epoch pair check is one exhaustive O(edges) scan in both engines.
-// Labelled `pair_check` in ctest (and run in the TSan, OBS-OFF, SIMD-OFF
-// and UBSan trees by scripts/check.sh):
+// Labelled `pair_check` in ctest (and run in the TSan and UBSan trees and
+// under PROXDET_SIMD_FORCE=scalar by scripts/check.sh):
 //  - exactness: alerts equal the ground truth under random motion, dynamic
 //    interest-graph churn and a match-heavy regime;
 //  - determinism: alerts, CommStats, rebuild counts and the scan's work

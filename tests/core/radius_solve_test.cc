@@ -416,7 +416,6 @@ TEST(ExitTimeScreenTest, UnboundedWhereNothingIsProven) {
   EXPECT_TRUE(std::isinf(ExitTimeScreen(-1, 1.0, 1.0).At(1.0, 0.0).margin));
 }
 
-#ifndef PROXDET_OBS_DISABLED
 // The deterministic count behind the solve's cost: on a small commuter_rush
 // Stripe+KF run, nearly every solve makes only the one exact evaluation of
 // the solution it returns.
@@ -446,7 +445,6 @@ TEST(RadiusSolveCountTest, CommuterRushStripeKfStaysUnderThreeExactPerSolve) {
               static_cast<unsigned long long>(exact),
               static_cast<double>(exact) / static_cast<double>(solves));
 }
-#endif
 
 }  // namespace
 }  // namespace proxdet

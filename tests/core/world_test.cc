@@ -1,6 +1,10 @@
 #include "core/world.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
+
+#include "traj/streaming.h"
 
 namespace proxdet {
 namespace {
@@ -9,6 +13,30 @@ Trajectory LineFrom(double x0, double step, size_t n) {
   std::vector<Vec2> pts;
   for (size_t i = 0; i < n; ++i) pts.push_back({x0 + step * i, 0.0});
   return Trajectory(std::move(pts), 5.0);
+}
+
+/// Two users; user u's epoch-e position is (e, u).
+class CountingStream : public StreamingGenerator {
+ public:
+  size_t user_count() const override { return 2; }
+  double epoch_seconds() const override { return 1.0; }
+  void Reset() override { epoch_ = 0; }
+  void NextEpoch(Vec2* out) override {
+    for (size_t u = 0; u < 2; ++u) {
+      out[u] = {static_cast<double>(epoch_), static_cast<double>(u)};
+    }
+    ++epoch_;
+  }
+  std::unique_ptr<StreamingGenerator> Clone() const override {
+    return std::make_unique<CountingStream>();
+  }
+
+ private:
+  int epoch_ = 0;
+};
+
+World CountingWorld() {
+  return World(std::make_unique<CountingStream>(), InterestGraph(2), 40);
 }
 
 World TwoUserWorld(double gap, double closing_per_tick, int speed_steps,
@@ -166,6 +194,33 @@ TEST(WorldTest, RecentWindowIntoBufferMatchesReturningOverload) {
     w.RecentWindow(1, epoch, 3, &buf);
     EXPECT_EQ(buf, w.RecentWindow(1, epoch, 3)) << "epoch " << epoch;
   }
+}
+
+TEST(WorldTest, StreamingPositionServesTheRingWindow) {
+  const World world = CountingWorld();
+  world.BeginEpoch(20);  // Readable: [21 - kStreamWindow, 21).
+  EXPECT_EQ(world.Position(1, 20), Vec2(20.0, 1.0));
+  EXPECT_EQ(world.Position(0, 21 - World::kStreamWindow),
+            Vec2(21.0 - World::kStreamWindow, 0.0));
+}
+
+// Reading outside the window is a caller bug that would otherwise return
+// another epoch's ring row; it aborts in every build, NDEBUG included.
+TEST(WorldDeathTest, StreamingPositionAbortsOnNegativeEpoch) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const World world = CountingWorld();
+  world.BeginEpoch(4);
+  EXPECT_DEATH(world.Position(0, -1), "epoch -1 outside .*\\[0, 5\\)");
+}
+
+TEST(WorldDeathTest, StreamingPositionAbortsPastTheBeginEpochCursor) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const World world = CountingWorld();
+  world.BeginEpoch(4);
+  EXPECT_DEATH(world.Position(0, 5), "epoch 5 outside .*\\[0, 5\\)");
+  world.BeginEpoch(20);
+  EXPECT_DEATH(world.Position(0, 20 - World::kStreamWindow),
+               "outside .*\\[9, 21\\)");
 }
 
 TEST(WorldTest, SortAlertsCanonicalOrder) {

@@ -5,14 +5,18 @@
 // library special-cases (zero-length segments, empty polylines) and batch
 // sizes straddling the vector widths (0, 1, W-1, W, W+1).
 //
-// ctest label: simd. scripts/check.sh runs this suite in the regular tree,
-// the -DPROXDET_SIMD=OFF tree (where only the scalar backend exists and
-// the whole suite collapses to scalar-vs-scalar identity) and the UBSan
-// tree (the branchless lane arithmetic must not hide UB behind masks).
+// ctest label: simd. scripts/check.sh runs this suite in the TSan tree, the
+// UBSan tree (the branchless lane arithmetic must not hide UB behind masks)
+// and in the regular tree under PROXDET_SIMD_FORCE=scalar, where dispatch
+// binds only the scalar backend and the suite's default-backend runs
+// collapse to scalar-vs-scalar identity.
 
 #include "geom/simd/simd.h"
 
+#include <sys/wait.h>
+
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -113,6 +117,43 @@ TEST(SimdDispatchTest, ActiveBackendConsistent) {
   // vector backend on a supporting CPU must not silently run scalar.
   EXPECT_TRUE(simd::SelfCheckPassed());
   EXPECT_STREQ(simd::BackendName(simd::Backend::kScalar), "scalar");
+}
+
+// PROXDET_SIMD_FORCE is read once, at dispatch's first use. Each value is
+// checked in a freshly exec'd child (the threadsafe death-test style
+// re-runs the binary) whose first dispatch call comes after the variable
+// is set; the child reports the backend it got as its exit code.
+TEST(SimdDispatchTest, ForceVariablePinsBackendAtFirstUse) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* const kNames[] = {"scalar", "w4", "w8"};
+  int got[3] = {-1, -1, -1};
+  for (int i = 0; i < 3; ++i) {
+    const auto record_exit_code = [&got, i](int status) {
+      got[i] = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+      return got[i] >= 0;
+    };
+    EXPECT_EXIT(
+        {
+          setenv("PROXDET_SIMD_FORCE", kNames[i], 1);
+          std::_Exit(static_cast<int>(simd::ActiveBackend()));
+        },
+        record_exit_code, "");
+  }
+  // This process's own first use: under PROXDET_SIMD_FORCE=scalar (the
+  // forced-scalar pass of scripts/check.sh) every kernel runs scalar.
+  const char* ambient = std::getenv("PROXDET_SIMD_FORCE");
+  if (ambient != nullptr && std::strcmp(ambient, "scalar") == 0) {
+    EXPECT_EQ(simd::ActiveBackend(), simd::Backend::kScalar);
+  }
+  // A forced vector backend runs where it is compiled and the CPU supports
+  // it; anywhere else the force leaves scalar installed.
+  const simd::Backend before = simd::ActiveBackend();
+  for (int i = 0; i < 3; ++i) {
+    const bool usable =
+        simd::SetActiveBackendForTest(static_cast<simd::Backend>(i));
+    EXPECT_EQ(got[i], usable ? i : 0) << "PROXDET_SIMD_FORCE=" << kNames[i];
+  }
+  ASSERT_TRUE(simd::SetActiveBackendForTest(before));
 }
 
 TEST(SimdKernelTest, PointsInBoxesBitwise) {

@@ -94,10 +94,7 @@ bool SameOutcome(const GoldenRow& a, const GoldenRow& b) {
          a.region_installs == b.region_installs &&
          a.match_installs == b.match_installs &&
          a.batch_saved_bytes == b.batch_saved_bytes &&
-#ifndef PROXDET_OBS_DISABLED
-         a.digest_hash == b.digest_hash &&
-#endif
-         true;
+         a.digest_hash == b.digest_hash;
 }
 
 std::string FormatRow(const GoldenRow& r) {

@@ -30,18 +30,6 @@
 #include <unistd.h>
 #endif
 
-// Tracing itself is part of the serving plane and works with the obs layer
-// compiled out, but the cases below assert on real sketches, counters or
-// flight-recorder rings — in a -DPROXDET_OBS=OFF tree those are noops and
-// the observability-plane tests must skip, mirroring tests/CMakeLists.txt
-// gating of the obs suite.
-#ifdef PROXDET_OBS_DISABLED
-#define PROXDET_REQUIRE_OBS() \
-  GTEST_SKIP() << "observability layer compiled out"
-#else
-#define PROXDET_REQUIRE_OBS()
-#endif
-
 namespace proxdet {
 namespace net {
 namespace {
@@ -120,7 +108,6 @@ TracedRun RunTraced(Method method, const Workload& workload,
 // AlertLatencyTracker unit semantics.
 
 TEST(AlertLatencyTest, TrackerMatchesDetectsToDelivers) {
-  PROXDET_REQUIRE_OBS();
   obs::Metrics().Reset();
   SimNet net(1);
   AlertLatencyTracker tracker(&net, /*shard_count=*/2);
@@ -264,7 +251,6 @@ std::string LatencyDigest(int threads, int shards) {
 }
 
 TEST(AlertLatencyTest, VirtualLatencyDigestInvariantAcrossThreadsAndShards) {
-  PROXDET_REQUIRE_OBS();
   const std::string reference = LatencyDigest(1, 1);
   ASSERT_NE(reference.find("net.latency.delivered"), std::string::npos);
   ASSERT_NE(reference.find("net.latency.virtual_s"), std::string::npos);
@@ -312,7 +298,6 @@ TEST(StatsServerTest, ServesPrometheusAndJsonSnapshot) {
 #ifdef _WIN32
   GTEST_SKIP() << "no sockets on this platform";
 #else
-  PROXDET_REQUIRE_OBS();
   obs::Metrics().Reset();
   obs::Metrics().GetCounter("net.latency.delivered").Inc(7);
   StatsServer server(0);
@@ -346,7 +331,6 @@ TEST(StatsServerTest, TransportedRunExposesEphemeralPort) {
 #ifdef _WIN32
   GTEST_SKIP() << "no sockets on this platform";
 #else
-  PROXDET_REQUIRE_OBS();
   obs::Metrics().Reset();
   NetConfig config = Traced(2, true);
   config.stats_port = 0;  // Ephemeral.
@@ -367,7 +351,6 @@ TEST(StatsServerTest, TransportedRunExposesEphemeralPort) {
 // Flight recorder.
 
 TEST(FlightRecorderTest, RingBoundsAndOrderedSnapshot) {
-  PROXDET_REQUIRE_OBS();
   obs::FlightRecorder& flight = obs::Flight();
   flight.Clear();
   flight.set_capacity(4);
@@ -401,7 +384,6 @@ TEST(FlightRecorderTest, RingBoundsAndOrderedSnapshot) {
 }
 
 TEST(FlightRecorderTest, DumpsOnInducedReliabilityGiveUp) {
-  PROXDET_REQUIRE_OBS();
   obs::FlightRecorder& flight = obs::Flight();
   flight.Clear();
   const std::string path =

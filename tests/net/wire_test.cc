@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "geom/anchor_grid.h"
 #include "net/wire.h"
 
 namespace proxdet {
@@ -514,6 +515,31 @@ TEST(WireTest, PointsQuantizableRejectsOffGridAndHuge) {
       {{std::numeric_limits<double>::quiet_NaN(), 0.0}}));
   EXPECT_TRUE(PointsQuantizable({{-0.00390625, 42.0}}));  // -1/256.
   EXPECT_TRUE(PointsQuantizable({}));
+}
+
+// The stripe builder's snap and the codec share one grid and one range: an
+// anchor with a grid index snaps to a codec-exact coordinate, and one
+// without is left alone (the codec then ships that shape uncompressed).
+TEST(WireTest, SnappedAnchorsAreCodecExactAcrossMagnitudes) {
+  Rng rng(23);
+  for (int i = 0; i < 4000; ++i) {
+    const double v =
+        rng.Uniform(-1.0, 1.0) * std::pow(10.0, rng.Uniform(-3.0, 15.0));
+    int64_t q = 0;
+    const bool has_index = NearestAnchorGridIndex(v, &q);
+    const double snapped = SnapToAnchorGrid(v);
+    EXPECT_EQ(PointsQuantizable({{snapped, 0.0}}), has_index) << v;
+    if (!has_index) {
+      EXPECT_EQ(snapped, v);
+    }
+  }
+  // Either side of the index range's edge, 2^45 / 256 = 2^37 m.
+  const double edge = std::ldexp(1.0, 37);
+  EXPECT_TRUE(PointsQuantizable({{SnapToAnchorGrid(edge - 0.3), 0.0}}));
+  EXPECT_EQ(SnapToAnchorGrid(edge + 0.3), edge + 0.3);
+  // Beyond the range but within double precision of the grid: left as is,
+  // never moved to a grid point the codec would refuse.
+  EXPECT_EQ(SnapToAnchorGrid(1e12 + 0.3), 1e12 + 0.3);
 }
 
 TEST(WireTest, EncodeCompressedShrinksOnGridStripesAndDecodesEqual) {
