@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # TSan gate for the in-epoch parallelism: configures a separate build tree
 # with -DPROXDET_SANITIZE=thread, builds it, and runs the `sanitize`-,
-# `net`-, `obs`-, `shard`- and `pair_check`-labelled suites (thread-pool +
-# determinism tests, the wire/transport suite whose transported runs drive
-# the network link while the engine scans fan out, the observability suite
-# whose relaxed-atomic counters and mutex-guarded sketches are written
-# from those same scans, the sharded serving plane whose frontend is only
-# driven from serial commit sections, and the pair-check suite whose edge
-# scans fan out over the pool across thread counts) under a multi-thread
-# global pool.
+# `net`-, `obs`-, `shard`-, `pair_check`-, `engine`- and `predict`-labelled
+# suites (thread-pool + determinism tests, the wire/transport suite whose
+# transported runs drive the network link while the engine scans fan out,
+# the observability suite whose relaxed-atomic counters and mutex-guarded
+# sketches are written from those same scans, the sharded serving plane
+# whose frontend is only driven from serial commit sections, the
+# pair-check suite whose edge scans fan out over the pool across thread
+# counts, the detectors end to end, whose Stripe methods build regions
+# speculatively on the pool while the engine state is frozen, and the
+# prediction models, whose Predict those builds call concurrently) under a
+# multi-thread global pool.
 # The parallel-scan/serial-commit pattern is only safe if the scans are
 # genuinely read-only and the link is only touched from commit sections —
 # TSan is the check that they are.
@@ -34,16 +37,17 @@
 # invariance across thread counts is exactly the property TSan must not
 # perturb.
 #
-# A third leg runs the `simd`, `pair_check`, `core` and `engine` suites under
-# -DPROXDET_SANITIZE=undefined: the branchless lane arithmetic in the
-# vector kernels (masked selects, safe-divisor guards) must not hide UB —
-# every lane's intermediate math has to be well-defined even where a mask
-# discards it, including the pair check's batched gap < r lanes — and the
-# radius solve's erf-table index, a double-to-int conversion, is checked
-# by -fsanitize=float-cast-overflow across the core suite's 10^6 solves.
+# A third leg runs the `simd`, `pair_check`, `core`, `engine` and `predict`
+# suites under -DPROXDET_SANITIZE=undefined: the branchless lane arithmetic
+# in the vector kernels (masked selects, safe-divisor guards) must not hide
+# UB — every lane's intermediate math has to be well-defined even where a
+# mask discards it, including the pair check's batched gap < r lanes — and
+# the radius solve's erf-table index, a double-to-int conversion, is
+# checked by -fsanitize=float-cast-overflow across the core suite's 10^6
+# solves.
 # The `engine` suite (naive detectors, policies, every method against the
 # ground truth, the simulation loop, the region detector) runs the same
-# kernels end to end.
+# kernels end to end; the `predict` suite covers the prediction models.
 #
 # A fourth leg runs the protocol and observability suites — `net`, `shard`,
 # `latency`, `socket` and `obs` — under -DPROXDET_SANITIZE=address. The
@@ -64,7 +68,7 @@ BUILD_DIR="${BUILD_DIR:-build-tsan}"
 UBSAN_BUILD_DIR="${UBSAN_BUILD_DIR:-build-ubsan}"
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 JOBS="$(nproc)"
-LABELS='sanitize|net|obs|shard|pair_check|simd|socket|latency|scale'
+LABELS='sanitize|net|obs|shard|pair_check|simd|socket|latency|scale|engine|predict'
 
 cmake -B "$BUILD_DIR" -S . -DPROXDET_SANITIZE=thread "$@"
 cmake --build "$BUILD_DIR" -j "$JOBS"
@@ -78,7 +82,7 @@ PROXDET_SIMD_FORCE=scalar \
 
 cmake -B "$UBSAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=undefined "$@"
 cmake --build "$UBSAN_BUILD_DIR" -j "$JOBS"
-ctest --test-dir "$UBSAN_BUILD_DIR" -L 'simd|pair_check|core|engine' \
+ctest --test-dir "$UBSAN_BUILD_DIR" -L 'simd|pair_check|core|engine|predict' \
   --output-on-failure -j "$JOBS"
 
 cmake -B "$ASAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=address "$@"

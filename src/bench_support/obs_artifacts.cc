@@ -1,6 +1,7 @@
 #include "bench_support/obs_artifacts.h"
 
 #include <cstdio>
+#include <utility>
 
 #include "bench_support/bench_json.h"
 #include "obs/trace.h"
@@ -43,7 +44,19 @@ obs::RunReport MakeRunReport(const std::string& run_name,
   report.AddCount("comm_stats", "batch_saved_bytes", stats.batch_saved_bytes);
   report.AddCount("comm_stats", "total_bytes", stats.TotalBytes());
   report.AddScalar("timing", "server_seconds", stats.server_seconds);
-  report.CaptureMetrics(obs::Metrics().Snapshot());
+  obs::MetricsSnapshot snapshot = obs::Metrics().Snapshot();
+  // The speculative resolve's yield: builds made ahead of the commit and
+  // the share the commit took. Wall-clock-kinded, like the counters.
+  const uint64_t speculated =
+      CounterOr0(snapshot, "engine.resolve.speculated");
+  const uint64_t hits = CounterOr0(snapshot, "engine.resolve.speculation_hits");
+  report.AddCount("resolve", "speculated", speculated);
+  report.AddCount("resolve", "speculation_hits", hits);
+  report.AddScalar("resolve", "hit_ratio",
+                   speculated == 0 ? 0.0
+                                   : static_cast<double>(hits) /
+                                         static_cast<double>(speculated));
+  report.CaptureMetrics(std::move(snapshot));
   return report;
 }
 

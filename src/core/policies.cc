@@ -75,6 +75,18 @@ struct StripeMetrics {
   }
 };
 
+/// StripePolicy's build sample: the cost-model outcome and kernel work of
+/// one stripe construction, everything StripeMetrics records for it.
+struct StripeSample final : BuildSample {
+  int m = 0;
+  RadiusSolution solution;
+  size_t staged_point_lanes = 0;
+  size_t staged_segment_lanes = 0;
+  size_t kernel_dispatches = 0;
+  size_t radius_solves = 0;
+  size_t exact_evaluations = 0;
+};
+
 /// A representative interior point of a shape, used only to orient
 /// half-plane boundaries; soundness never depends on it (the verify-and-
 /// shrink loop checks exact distances).
@@ -193,6 +205,17 @@ StripePolicy::StripePolicy(std::unique_ptr<Predictor> predictor,
 SafeRegionShape StripePolicy::BuildRegion(
     UserId u, const Vec2& location, const std::vector<Vec2>& recent_window,
     double speed, const std::vector<FriendView>& friends, int epoch) {
+  ConcurrentBuild build;
+  BuildConcurrent(u, location, recent_window, speed, friends, epoch, &build);
+  RecordBuild(*build.sample);
+  return std::move(build.shape);
+}
+
+bool StripePolicy::BuildConcurrent(UserId u, const Vec2& location,
+                                   const std::vector<Vec2>& recent_window,
+                                   double speed,
+                                   const std::vector<FriendView>& friends,
+                                   int epoch, ConcurrentBuild* out) const {
   (void)u;
   std::vector<Vec2> predicted;
   {
@@ -201,29 +224,42 @@ SafeRegionShape StripePolicy::BuildRegion(
         recent_window, static_cast<size_t>(options_.build.max_horizon));
   }
   // Constraints borrow the FriendView regions (alive for the whole build);
-  // the scratch vector is a member so steady-state rebuilds don't allocate.
-  // BuildRegion runs on the serial resolve queue, so reuse is race-free.
-  constraints_scratch_.clear();
-  constraints_scratch_.reserve(friends.size());
+  // the per-thread scratch keeps steady-state rebuilds allocation-free.
+  thread_local std::vector<StripeFriendConstraint> constraints;
+  constraints.clear();
+  constraints.reserve(friends.size());
   for (const FriendView& f : friends) {
-    constraints_scratch_.push_back({&f.region(), f.alert_radius, f.speed});
+    constraints.push_back({&f.region(), f.alert_radius, f.speed});
   }
   obs::TraceScope span("stripe_build", "engine");
-  const StripeBuildResult result = BuildPredictiveStripe(
-      location, predicted, constraints_scratch_, speed, options_.build,
-      epoch);
+  StripeBuildResult result = BuildPredictiveStripe(
+      location, predicted, constraints, speed, options_.build, epoch);
+  auto sample = std::make_unique<StripeSample>();
+  sample->m = result.m;
+  sample->solution = result.solution;
+  sample->staged_point_lanes = result.staged_point_lanes;
+  sample->staged_segment_lanes = result.staged_segment_lanes;
+  sample->kernel_dispatches = result.kernel_dispatches;
+  sample->radius_solves = result.radius_solves;
+  sample->exact_evaluations = result.exact_evaluations;
+  out->shape = std::move(result.stripe);
+  out->sample = std::move(sample);
+  return true;
+}
+
+void StripePolicy::RecordBuild(const BuildSample& sample) {
+  const StripeSample& s = static_cast<const StripeSample&>(sample);
   const StripeMetrics& sm = StripeMetrics::Get();
   sm.builds.Inc();
-  sm.m.Record(static_cast<double>(result.m));
-  sm.radius.Record(result.solution.radius);
-  sm.e_m.Record(result.solution.e_m);
-  sm.e_p.Record(result.solution.e_p);
-  sm.batch_points.Record(static_cast<double>(result.staged_point_lanes));
-  sm.batch_segments.Record(static_cast<double>(result.staged_segment_lanes));
-  sm.dispatches.Inc(result.kernel_dispatches);
-  sm.radius_solves.Inc(result.radius_solves);
-  sm.exact_evaluations.Inc(result.exact_evaluations);
-  return result.stripe;
+  sm.m.Record(static_cast<double>(s.m));
+  sm.radius.Record(s.solution.radius);
+  sm.e_m.Record(s.solution.e_m);
+  sm.e_p.Record(s.solution.e_p);
+  sm.batch_points.Record(static_cast<double>(s.staged_point_lanes));
+  sm.batch_segments.Record(static_cast<double>(s.staged_segment_lanes));
+  sm.dispatches.Inc(s.kernel_dispatches);
+  sm.radius_solves.Inc(s.radius_solves);
+  sm.exact_evaluations.Inc(s.exact_evaluations);
 }
 
 }  // namespace proxdet

@@ -79,6 +79,12 @@ class MobileCirclePolicy : public RegionPolicy {
 
 /// This paper's method: a fixed-radius stripe around the predictor's future
 /// path, sized by the holistic cost model (Algorithm 2).
+///
+/// Construction is written once, in BuildConcurrent: a pure function of
+/// its arguments and the trained predictor (whose Predict contract makes
+/// concurrent calls safe and deterministic). BuildRegion is that build plus
+/// RecordBuild, so the serial and the speculative resolve record the same
+/// stripe.* samples, each at its commit.
 class StripePolicy : public RegionPolicy {
  public:
   struct Options {
@@ -94,15 +100,17 @@ class StripePolicy : public RegionPolicy {
                               double speed,
                               const std::vector<FriendView>& friends,
                               int epoch) override;
+  bool BuildConcurrent(UserId u, const Vec2& location,
+                       const std::vector<Vec2>& recent_window, double speed,
+                       const std::vector<FriendView>& friends, int epoch,
+                       ConcurrentBuild* out) const override;
+  void RecordBuild(const BuildSample& sample) override;
 
   Predictor* predictor() { return predictor_.get(); }
 
  private:
   std::unique_ptr<Predictor> predictor_;
   Options options_;
-  // Reused across BuildRegion calls (serial resolve queue): constraint
-  // records borrowing the caller's FriendView regions.
-  std::vector<StripeFriendConstraint> constraints_scratch_;
 };
 
 }  // namespace proxdet

@@ -1,6 +1,7 @@
 #include "core/region_detector.h"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <optional>
 #include <unordered_map>
@@ -84,7 +85,32 @@ struct SimdScanMetrics {
   }
 };
 
+/// The speculative resolve's waste counters: builds made ahead of the
+/// commit, and those the commit took. How many are made depends on the
+/// pool size (a 1-thread pool never speculates), so both are
+/// wall-clock-kinded and stay out of the deterministic digest.
+struct SpeculationMetrics {
+  obs::Counter& speculated;
+  obs::Counter& hits;
+
+  static const SpeculationMetrics& Get() {
+    static const SpeculationMetrics m{
+        obs::Metrics().GetCounter("engine.resolve.speculated",
+                                  obs::Kind::kWallClock),
+        obs::Metrics().GetCounter("engine.resolve.speculation_hits",
+                                  obs::Kind::kWallClock),
+    };
+    return m;
+  }
+};
+
 constexpr double kMinSpeed = 1e-3;  // m/epoch floor for estimates.
+
+// Queued users per pool thread in one speculative resolve window
+// (DESIGN.md §15). A wider window spreads one fork-join over more builds;
+// its later members are likelier to have their views changed by an
+// earlier member's commit, which wastes their build.
+constexpr size_t kSpeculationWindowPerThread = 16;
 
 // Chunk sizes for the parallel read-only scans. Coarse enough that the
 // per-chunk scheduling cost vanishes next to the geometry, fine enough to
@@ -110,6 +136,21 @@ bool AsCircleAt(const SafeRegionShape& s, int epoch, Circle* out) {
   return false;
 }
 
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+/// Report's speed estimate: the mean step length of the reported window,
+/// floored at kMinSpeed; `prior` when the window has under two points.
+double WindowSpeed(const std::vector<Vec2>& window, double prior) {
+  if (window.size() < 2) return prior;
+  double dist = 0.0;
+  for (size_t i = 1; i < window.size(); ++i) {
+    dist += Distance(window[i - 1], window[i]);
+  }
+  return std::max(kMinSpeed, dist / static_cast<double>(window.size() - 1));
+}
+
 bool EdgesEqual(const std::vector<InterestGraph::Edge>& a,
                 const std::vector<InterestGraph::Edge>& b) {
   if (a.size() != b.size()) return false;
@@ -123,6 +164,23 @@ bool EdgesEqual(const std::vector<InterestGraph::Edge>& a,
 }
 
 }  // namespace
+
+bool RegionPolicy::BuildConcurrent(UserId u, const Vec2& location,
+                                   const std::vector<Vec2>& recent_window,
+                                   double speed,
+                                   const std::vector<FriendView>& friends,
+                                   int epoch, ConcurrentBuild* out) const {
+  (void)u;
+  (void)location;
+  (void)recent_window;
+  (void)speed;
+  (void)friends;
+  (void)epoch;
+  (void)out;
+  return false;
+}
+
+void RegionPolicy::RecordBuild(const BuildSample& sample) { (void)sample; }
 
 void RegionPolicy::OnExit(UserId u) { (void)u; }
 void RegionPolicy::OnProbe(UserId u) { (void)u; }
@@ -207,6 +265,29 @@ struct RegionDetector::Impl {
   std::vector<InterestGraph::Edge> edge_cache;
   uint64_t pair_candidates = 0;  // Predicates the pair check evaluated.
 
+  // Speculative resolve (DESIGN.md §15); all of it stays empty on a
+  // 1-thread pool, which never speculates. install_version[w] counts the
+  // regions installed for w: a borrowed view is unchanged since a
+  // speculative build read it when its pointer and this count both match.
+  std::vector<uint64_t> install_version;
+  // One queued user of the current window: the views its commit was
+  // expected to collect, the install versions of their borrowed regions,
+  // its recent window and the build made against them. Written by one pool
+  // task each; read by the serial commit.
+  struct alignas(64) SpecSlot {
+    UserId user = -1;
+    bool built = false;  // False: the policy declined BuildConcurrent.
+    std::vector<FriendView> views;
+    std::vector<uint64_t> versions;  // install_version per view.
+    std::vector<Vec2> window;  // Also scratch for probed friends' windows.
+    ConcurrentBuild build;
+  };
+  std::vector<SpecSlot> spec_slots;
+  size_t spec_size = 0;  // Members of the current window.
+  size_t spec_next = 0;  // The next member the commit reaches.
+  // More than one pool thread, and the policy has not declined.
+  bool speculate;
+
   enum ExitFlag : uint8_t { kInside = 0, kExited = 1, kNeedsInit = 2 };
 
   Impl(const World& w, RegionDetector& s)
@@ -215,8 +296,10 @@ struct RegionDetector::Impl {
         self(s),
         graph(w.graph()),
         users(w.user_count()),
-        per_epoch_check(s.policy_->NeedsPerEpochPairCheck()) {
+        per_epoch_check(s.policy_->NeedsPerEpochPairCheck()),
+        speculate(ThreadPool::Global().thread_count() > 1) {
     if (per_epoch_check) edge_cache = graph.Edges();
+    if (speculate) install_version.assign(w.user_count(), 0);
   }
 
   bool IsMatched(UserId u, UserId w) const {
@@ -241,14 +324,7 @@ struct RegionDetector::Impl {
     } else {
       world.RecentWindow(u, epoch, self.options_.window, &window_buf);
     }
-    if (window_buf.size() >= 2) {
-      double dist = 0.0;
-      for (size_t i = 1; i < window_buf.size(); ++i) {
-        dist += Distance(window_buf[i - 1], window_buf[i]);
-      }
-      users[u].speed = std::max(
-          kMinSpeed, dist / static_cast<double>(window_buf.size() - 1));
-    }
+    users[u].speed = WindowSpeed(window_buf, users[u].speed);
   }
 
   void EnqueueRebuild(UserId u) {
@@ -641,13 +717,149 @@ struct RegionDetector::Impl {
     return false;
   }
 
-  /// Serialized rebuild loop: pops users needing a region, probes friends
-  /// that are dangerously close, detects fresh matches, then asks the
-  /// policy for a new region built against the friends' effective regions.
+  /// Pass 1's probe rule: an unreported friend `w` is probed when its
+  /// region leaves the rebuilding user (at `l_u`, speed `v_u`) no more than
+  /// min_gap plus the kinetic closing distance beyond the alert radius.
+  bool ProbeWanted(const Vec2& l_u, double v_u, UserId w, double r) const {
+    // gap <= min_gap + closing, phrased so the AABB lower bound can settle
+    // the comparison without exact point-to-shape geometry.
+    const double closing =
+        self.options_.probe_horizon_epochs * (v_u + users[w].speed);
+    return ShapeDistanceToPointBelow(*users[w].region, l_u, epoch,
+                                     r + self.options_.min_gap + closing,
+                                     /*inclusive=*/true);
+  }
+
+  /// Pass 1's match rule for a reported (exact) friend.
+  bool WithinAlertRadius(const Vec2& l_u, UserId w, double r) const {
+    return Distance(l_u, users[w].pos) < r;
+  }
+
+  /// Pass 2's view of an unmatched friend whose speed estimate is
+  /// `speed_w`. A friend that rebuilds later this epoch (`split`) is a
+  /// virtual circle holding its Eq. (5) share of the slack, so the pair
+  /// splits the corridor speed-proportionally (Lemma 2); safety is then
+  /// sealed when the friend builds against u's real region. Any other
+  /// friend lends its installed region.
+  FriendView MakeView(const Vec2& l_u, double v_u, const FriendEdge& fe,
+                      double speed_w, bool split) const {
+    const UserId w = fe.other;
+    FriendView view;
+    view.id = w;
+    view.alert_radius = fe.alert_radius;
+    view.speed = std::max(speed_w, kMinSpeed);
+    if (split) {
+      const double d = Distance(l_u, users[w].pos);
+      const double share =
+          InitializationRadius(view.speed, v_u, d, fe.alert_radius);
+      view.owned_region = Circle{users[w].pos, share};
+    } else {
+      view.borrowed = &*users[w].region;
+    }
+    return view;
+  }
+
+  /// Read-only emulation of queued user u's pass 1 and pass 2 against the
+  /// current state (it runs on the pool): the views u's commit collects if
+  /// no earlier commit touches u's friends first. A friend pass 1 would
+  /// probe reports — its speed refreshed by Report's rule — and queues a
+  /// rebuild; one pass 1 would match drops out.
+  void EmulateViews(UserId u, SpecSlot* slot) const {
+    const Vec2& l_u = users[u].pos;
+    const double v_u = users[u].speed;
+    slot->views.clear();
+    slot->versions.clear();
+    for (const FriendEdge& fe : graph.FriendsOf(u)) {
+      const UserId w = fe.other;
+      if (IsMatched(u, w)) continue;
+      bool reported_w = reported(w);
+      bool needs_w = needs_region(w);
+      double speed_w = users[w].speed;
+      if (!reported_w && ProbeWanted(l_u, v_u, w, fe.alert_radius)) {
+        world.RecentWindow(w, epoch, self.options_.window, &slot->window);
+        speed_w = WindowSpeed(slot->window, speed_w);
+        reported_w = needs_w = true;
+      }
+      if (reported_w && WithinAlertRadius(l_u, w, fe.alert_radius)) continue;
+      const bool split = reported_w && needs_w && !rebuilt(w);
+      slot->views.push_back(MakeView(l_u, v_u, fe, speed_w, split));
+      slot->versions.push_back(install_version[w]);
+    }
+    world.RecentWindow(u, epoch, self.options_.window, &slot->window);
+  }
+
+  /// True when the views the commit collected are the ones the speculative
+  /// build read: the same friends in the same order, bit-equal alert radii,
+  /// speeds and owned circles, and borrowed regions not reinstalled since
+  /// (same pointer, same install version).
+  bool SameViews(const SpecSlot& slot) const {
+    if (slot.views.size() != friend_views.size()) return false;
+    for (size_t i = 0; i < friend_views.size(); ++i) {
+      const FriendView& a = friend_views[i];
+      const FriendView& b = slot.views[i];
+      if (a.id != b.id || a.borrowed != b.borrowed ||
+          !SameBits(a.alert_radius, b.alert_radius) ||
+          !SameBits(a.speed, b.speed)) {
+        return false;
+      }
+      if (a.borrowed != nullptr) {
+        if (install_version[a.id] != slot.versions[i]) return false;
+        continue;
+      }
+      const Circle* ca = std::get_if<Circle>(&a.owned_region);
+      const Circle* cb = std::get_if<Circle>(&b.owned_region);
+      if (ca == nullptr || cb == nullptr ||
+          !SameBits(ca->center.x, cb->center.x) ||
+          !SameBits(ca->center.y, cb->center.y) ||
+          !SameBits(ca->radius, cb->radius)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Opens the next speculative window over the front of the queue, up to
+  /// kSpeculationWindowPerThread users per pool thread. Engine state stays
+  /// frozen while the pool emulates each member's views and builds its
+  /// region against them; nothing is recorded or sent until the commit.
+  void Speculate() {
+    obs::TraceScope span("speculate", "engine");
+    ThreadPool& pool = ThreadPool::Global();
+    spec_size = std::min(queue.size(),
+                         kSpeculationWindowPerThread * pool.thread_count());
+    spec_next = 0;
+    if (spec_slots.size() < spec_size) spec_slots.resize(spec_size);
+    for (size_t i = 0; i < spec_size; ++i) spec_slots[i].user = queue[i];
+    ParallelFor(pool, spec_size, [&](size_t i) {
+      SpecSlot& slot = spec_slots[i];
+      const UserId u = slot.user;
+      EmulateViews(u, &slot);
+      slot.built = self.policy_->BuildConcurrent(
+          u, users[u].pos, slot.window, users[u].speed, slot.views, epoch,
+          &slot.build);
+    });
+    uint64_t built = 0;
+    for (size_t i = 0; i < spec_size; ++i) {
+      built += spec_slots[i].built ? 1 : 0;
+      if (!spec_slots[i].built) speculate = false;
+    }
+    SpeculationMetrics::Get().speculated.Inc(built);
+  }
+
+  /// The rebuild loop: pops users needing a region in queue order, probes
+  /// friends that are dangerously close, detects fresh matches, then
+  /// installs a region built against the friends' effective regions. With
+  /// more than one pool thread the builds of the next window of queued
+  /// users are made ahead on the pool (Speculate); a commit takes its
+  /// user's build only when the views match, else builds inline, so the
+  /// output is the serial loop's for any thread count.
   void ResolvePhase() {
     while (!queue.empty()) {
+      if (speculate && spec_next == spec_size) Speculate();
       const UserId u = queue.front();
       queue.pop_front();
+      SpecSlot* slot = spec_next < spec_size ? &spec_slots[spec_next++]
+                                             : nullptr;
       if (!needs_region(u)) continue;
       const Vec2 l_u = users[u].pos;
       const double v_u = users[u].speed;
@@ -657,21 +869,11 @@ struct RegionDetector::Impl {
       for (const FriendEdge& fe : graph.FriendsOf(u)) {
         const UserId w = fe.other;
         if (IsMatched(u, w)) continue;
-        if (!reported(w)) {
-          // gap <= min_gap + closing, phrased so the AABB lower bound can
-          // settle the comparison without exact point-to-shape geometry.
-          const double closing =
-              self.options_.probe_horizon_epochs * (v_u + users[w].speed);
-          if (ShapeDistanceToPointBelow(
-                  *users[w].region, l_u, epoch,
-                  fe.alert_radius + self.options_.min_gap + closing,
-                  /*inclusive=*/true)) {
-            Probe(w);
-          }
+        if (!reported(w) && ProbeWanted(l_u, v_u, w, fe.alert_radius)) {
+          Probe(w);
         }
-        if (reported(w)) {
-          const double d = Distance(l_u, users[w].pos);
-          if (d < fe.alert_radius) CreateMatch(u, w, fe.alert_radius);
+        if (reported(w) && WithinAlertRadius(l_u, w, fe.alert_radius)) {
+          CreateMatch(u, w, fe.alert_radius);
         }
       }
 
@@ -680,29 +882,22 @@ struct RegionDetector::Impl {
       for (const FriendEdge& fe : graph.FriendsOf(u)) {
         const UserId w = fe.other;
         if (IsMatched(u, w)) continue;
-        FriendView view;
-        view.id = w;
-        view.alert_radius = fe.alert_radius;
-        view.speed = std::max(users[w].speed, kMinSpeed);
-        if (reported(w) && needs_region(w) && !rebuilt(w)) {
-          // Friend rebuilds later this epoch: constrain against a virtual
-          // circle holding its Eq. (5) share of the slack, so the pair
-          // splits the corridor speed-proportionally (Lemma 2); safety is
-          // then sealed when the friend builds against u's real region.
-          const double d = Distance(l_u, users[w].pos);
-          const double share = InitializationRadius(view.speed, v_u, d,
-                                                    fe.alert_radius);
-          view.owned_region = Circle{users[w].pos, share};
-        } else {
-          view.borrowed = &*users[w].region;
-        }
-        friend_views.push_back(std::move(view));
+        friend_views.push_back(
+            MakeView(l_u, v_u, fe, users[w].speed,
+                     reported(w) && needs_region(w) && !rebuilt(w)));
       }
 
-      world.RecentWindow(u, epoch, self.options_.window, &window_buf);
-      SafeRegionShape shape =
-          self.policy_->BuildRegion(u, l_u, window_buf, v_u, friend_views,
-                                    epoch);
+      SafeRegionShape shape;
+      if (slot != nullptr && slot->user == u && slot->built &&
+          SameViews(*slot)) {
+        SpeculationMetrics::Get().hits.Inc();
+        self.policy_->RecordBuild(*slot->build.sample);
+        shape = std::move(slot->build.shape);
+      } else {
+        world.RecentWindow(u, epoch, self.options_.window, &window_buf);
+        shape = self.policy_->BuildRegion(u, l_u, window_buf, v_u,
+                                          friend_views, epoch);
+      }
       if (self.options_.validate_builds && !Squeezed(l_u)) {
         bool sound = ShapeContains(shape, l_u, epoch);
         for (const FriendView& view : friend_views) {
@@ -713,6 +908,7 @@ struct RegionDetector::Impl {
       }
       if (self.link_ != nullptr) self.link_->InstallRegion(u, epoch, shape);
       users[u].region = std::move(shape);
+      if (!install_version.empty()) install_version[u] += 1;
       mark(u, kRebuilt);
       unmark(u, kNeedsRegion);
       self.stats_.region_installs += 1;
@@ -737,6 +933,7 @@ struct RegionDetector::Impl {
         }
       });
       queue.clear();
+      spec_size = spec_next = 0;
       EngineMetrics::Get().epochs.Inc();
       {
         // Server-side bookkeeping time (Figure 8's CPU axis) now accumulates

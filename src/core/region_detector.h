@@ -18,10 +18,12 @@ namespace proxdet {
 /// The installed-region case BORROWS the engine's shape (`borrowed`)
 /// instead of copying it: a Stripe carries its per-segment SoA cache, and
 /// deep-copying ~F of them per rebuild was a top profile entry. The
-/// borrowed pointer is valid for the duration of the BuildRegion call (the
-/// resolve queue is serialized, and nothing reinstalls a friend's region
-/// between view collection and the build). The virtual-split case owns its
-/// small circle in `owned_region`. Views are safely movable/copyable —
+/// borrowed pointer is valid for the duration of the build that reads it:
+/// BuildRegion runs inside the serial commit, and a concurrent build runs
+/// while the engine's state is frozen (the resolve phase's speculative
+/// window, DESIGN.md §15); nothing reinstalls a friend's region between
+/// view collection and the build. The virtual-split case owns its small
+/// circle in `owned_region`. Views are safely movable/copyable —
 /// `region()` resolves through the pointer only at read time.
 struct FriendView {
   UserId id = -1;
@@ -35,6 +37,26 @@ struct FriendView {
   }
 };
 
+/// A policy's metric sample of one build, carried from a concurrent build
+/// to the serial commit (RegionPolicy::RecordBuild). Each policy derives
+/// its own sample type; the engine only holds it.
+class BuildSample {
+ public:
+  BuildSample() = default;
+  BuildSample(const BuildSample&) = default;
+  BuildSample(BuildSample&&) = default;
+  BuildSample& operator=(const BuildSample&) = default;
+  BuildSample& operator=(BuildSample&&) = default;
+  virtual ~BuildSample() = default;
+};
+
+/// What RegionPolicy::BuildConcurrent hands back: the region and the
+/// metric sample the policy records if the engine commits it.
+struct ConcurrentBuild {
+  SafeRegionShape shape;
+  std::unique_ptr<BuildSample> sample;
+};
+
 /// Strategy interface: how safe regions are constructed. The engine
 /// (RegionDetector) owns the protocol — exits, probes, match regions,
 /// alerts — and is shared by Static [3], FMD/CMD [19] and the predictive
@@ -42,9 +64,14 @@ struct FriendView {
 ///
 /// Soundness contract: the returned region must (a) contain `location` and
 /// (b) keep distance >= alert_radius from every FriendView region at
-/// `epoch`. Rebuilds within an epoch are serialized by the engine, so a
-/// policy honoring (b) preserves the pairwise invariant d(u, w) >= r_{u,w}
+/// `epoch`. The engine commits rebuilds one at a time, in queue order, and
+/// each commit hands the policy the views as they stand at that point, so
+/// a policy honoring (b) preserves the pairwise invariant d(u, w) >= r_{u,w}
 /// for pairs fully inside their regions.
+///
+/// Threading: every hook but BuildConcurrent is called on the thread that
+/// called Detector::Run, from the engine's serial sections. Only
+/// BuildConcurrent, which a policy opts into, may run on pool threads.
 class RegionPolicy {
  public:
   virtual ~RegionPolicy() = default;
@@ -61,6 +88,25 @@ class RegionPolicy {
                                       double speed,
                                       const std::vector<FriendView>& friends,
                                       int epoch) = 0;
+
+  /// Optional thread-safe twin of BuildRegion. The engine may call it from
+  /// pool threads, concurrently, ahead of the commit, and may discard the
+  /// result. It must be a pure function of its arguments and of state that
+  /// nothing mutates during a Run, it must record no metrics, and `out` must
+  /// receive exactly the region BuildRegion would return for the same
+  /// arguments. If the engine commits the build it calls RecordBuild with
+  /// `out->sample`, where BuildRegion would have recorded its own sample.
+  /// Returns false when the policy does not support it (the default); the
+  /// engine then stops asking for the rest of the run.
+  virtual bool BuildConcurrent(UserId u, const Vec2& location,
+                               const std::vector<Vec2>& recent_window,
+                               double speed,
+                               const std::vector<FriendView>& friends,
+                               int epoch, ConcurrentBuild* out) const;
+
+  /// Records the metric sample of a committed BuildConcurrent result.
+  /// Serial; called in queue order.
+  virtual void RecordBuild(const BuildSample& sample);
 
   /// Self-tuning hooks (CMD): the user left its region / was probed.
   virtual void OnExit(UserId u);

@@ -39,9 +39,11 @@ struct TraceEvent {
 /// trace_event JSON — loadable in chrome://tracing or Perfetto.
 ///
 /// Span *durations* are wall-clock and therefore non-deterministic; span
-/// *counts per name* are deterministic for deterministic workloads. The
-/// exporter never feeds back into the traced computation (read-only
-/// observability).
+/// *counts per name* are deterministic for deterministic workloads, except
+/// on a multi-thread pool for `speculate` and the `predict` /
+/// `stripe_build` spans of the speculative resolve's builds, which include
+/// the builds its commit discards. The exporter never feeds back into the
+/// traced computation (read-only observability).
 class Tracer {
  public:
   Tracer() : origin_(std::chrono::steady_clock::now()) {}

@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <thread>
+
 #include "core/policies.h"
+#include "core/simulation.h"
+#include "exec/thread_pool.h"
+#include "obs/metrics.h"
 #include "predict/linear_predictor.h"
 
 namespace proxdet {
@@ -181,6 +187,129 @@ TEST(RegionDetectorTest, NameComesFromPolicy) {
     return o;
   }()));
   EXPECT_EQ(cmd.name(), "CMD");
+}
+
+/// Records the thread of every call that reaches a forwarding wrapper.
+struct ThreadLog {
+  std::mutex mutex;
+  std::vector<std::thread::id> ids;
+  void Note() {
+    std::lock_guard<std::mutex> lock(mutex);
+    ids.push_back(std::this_thread::get_id());
+  }
+};
+
+/// A forwarding Predictor that overrides only the base interface, the way
+/// an out-of-library timing wrapper does.
+class LoggingPredictor final : public Predictor {
+ public:
+  LoggingPredictor(std::unique_ptr<Predictor> inner, ThreadLog* log)
+      : inner_(std::move(inner)), log_(log) {}
+  std::vector<Vec2> Predict(const std::vector<Vec2>& recent,
+                            size_t steps) override {
+    log_->Note();
+    return inner_->Predict(recent, steps);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<Predictor> inner_;
+  ThreadLog* log_;
+};
+
+/// A forwarding RegionPolicy that overrides only the hooks that predate
+/// concurrent construction; it inherits BuildConcurrent's "not supported".
+class LoggingPolicy final : public RegionPolicy {
+ public:
+  LoggingPolicy(std::unique_ptr<RegionPolicy> inner, ThreadLog* log)
+      : inner_(std::move(inner)), log_(log) {}
+  std::string name() const override {
+    log_->Note();
+    return inner_->name();
+  }
+  bool NeedsPerEpochPairCheck() const override {
+    log_->Note();
+    return inner_->NeedsPerEpochPairCheck();
+  }
+  SafeRegionShape BuildRegion(UserId u, const Vec2& location,
+                              const std::vector<Vec2>& recent_window,
+                              double speed,
+                              const std::vector<FriendView>& friends,
+                              int epoch) override {
+    log_->Note();
+    return inner_->BuildRegion(u, location, recent_window, speed, friends,
+                               epoch);
+  }
+  void OnExit(UserId u) override {
+    log_->Note();
+    inner_->OnExit(u);
+  }
+  void OnProbe(UserId u) override {
+    log_->Note();
+    inner_->OnProbe(u);
+  }
+
+ private:
+  std::unique_ptr<RegionPolicy> inner_;
+  ThreadLog* log_;
+};
+
+// The seam contract timing wrappers rely on: a policy that does not opt
+// into concurrent construction is only ever called — and its predictor
+// only ever asked — on the thread that called Run(), even on a 4-thread
+// pool, and the run matches the unwrapped speculative one.
+TEST(RegionDetectorTest, WrappedPolicySeesOnlyTheRunThread) {
+  struct PoolGuard {
+    ~PoolGuard() {
+      ThreadPool::SetGlobalThreads(ThreadPool::DefaultThreadCount());
+    }
+  } guard;
+  ThreadPool::SetGlobalThreads(4);
+  WorkloadConfig config;
+  config.num_users = 60;
+  config.epochs = 20;
+  config.training_users = 12;
+  config.training_epochs = 60;
+  const Workload workload = BuildWorkload(config);
+
+  // Training and sigma calibration fan out on the pool by design; wrap the
+  // predictor after them.
+  std::unique_ptr<Predictor> predictor =
+      MakeTrainedPredictor(PredictorKind::kKalman, workload);
+  const StripePolicy::Options options =
+      CalibratedStripeOptions(predictor.get(), workload);
+  ThreadLog log;
+  RegionDetector wrapped(std::make_unique<LoggingPolicy>(
+      std::make_unique<StripePolicy>(
+          std::make_unique<LoggingPredictor>(std::move(predictor), &log),
+          options),
+      &log));
+  obs::Metrics().Reset();
+  wrapped.Run(workload.world);
+  const uint64_t speculated = obs::Metrics()
+                                  .Snapshot()
+                                  .counters.at("engine.resolve.speculated")
+                                  .second;
+
+  ASSERT_GT(wrapped.rebuild_count(), 0u);
+  ASSERT_GT(log.ids.size(), wrapped.rebuild_count());
+  for (const std::thread::id id : log.ids) {
+    ASSERT_EQ(id, std::this_thread::get_id());
+  }
+  EXPECT_EQ(speculated, 0u);
+
+  RegionDetector plain(std::make_unique<StripePolicy>(
+      MakeTrainedPredictor(PredictorKind::kKalman, workload), options));
+  obs::Metrics().Reset();
+  plain.Run(workload.world);
+  EXPECT_GT(obs::Metrics()
+                .Snapshot()
+                .counters.at("engine.resolve.speculated")
+                .second,
+            0u);
+  EXPECT_EQ(wrapped.SortedAlerts(), plain.SortedAlerts());
+  EXPECT_TRUE(wrapped.stats() == plain.stats());
+  EXPECT_EQ(wrapped.rebuild_count(), plain.rebuild_count());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "core/simulation.h"
 #include "exec/thread_pool.h"
+#include "obs/metrics.h"
 #include "predict/evaluator.h"
 
 namespace proxdet {
@@ -84,10 +85,11 @@ TEST(DeterminismTest, CalibrationIdenticalAcrossThreadCounts) {
 }
 
 // The in-epoch parallelism (SafeRegionExitPhase / MatchRegionPhase /
-// PerEpochPairCheck scans, Naive's edge scan): every paper method on a
-// dynamic-graph workload must produce identical decisions — not just the
-// same alert *count* — under 1- and 4-thread pools. alerts_exact pins both
-// streams to the same oracle, so equal counts + exact == equal streams.
+// PerEpochPairCheck scans, the speculative resolve, Naive's edge scan):
+// every method on a dynamic-graph workload must produce identical
+// decisions — not just the same alert *count* — under 1-, 2-, 3-, 4- and
+// 8-thread pools. alerts_exact pins every stream to the same oracle, so
+// equal counts + exact == equal streams.
 TEST(DeterminismTest, DetectorEpochLoopIdenticalAcrossThreadCounts) {
   GlobalPoolGuard guard;
   Workload workload = BuildWorkload(TinyConfig(60));
@@ -110,28 +112,72 @@ TEST(DeterminismTest, DetectorEpochLoopIdenticalAcrossThreadCounts) {
     }
   }
 
-  for (const Method method : PaperMethodSet()) {
+  // Every paper method, plus the fifth Stripe method (Stripe+Linear); the
+  // Stripe methods build speculatively on every pool with > 1 thread, and
+  // 3 threads gives a window that is not a power of two.
+  std::vector<Method> methods = PaperMethodSet();
+  methods.push_back(Method::kStripeLinear);
+  for (const Method method : methods) {
     ThreadPool::SetGlobalThreads(1);
     const RunResult serial = RunMethod(method, workload);
-    ThreadPool::SetGlobalThreads(4);
-    const RunResult parallel = RunMethod(method, workload);
+    EXPECT_TRUE(serial.alerts_exact) << MethodName(method);
+    for (const unsigned threads : {2u, 3u, 4u, 8u}) {
+      ThreadPool::SetGlobalThreads(threads);
+      const RunResult parallel = RunMethod(method, workload);
 
-    const std::string name = MethodName(method);
-    EXPECT_TRUE(serial.stats.SameMessageCounts(parallel.stats))
-        << name << ": serial " << serial.stats << " vs parallel "
-        << parallel.stats;
-    EXPECT_EQ(serial.stats.reports, parallel.stats.reports) << name;
-    EXPECT_EQ(serial.stats.probes, parallel.stats.probes) << name;
-    EXPECT_EQ(serial.stats.alerts, parallel.stats.alerts) << name;
-    EXPECT_EQ(serial.stats.region_installs, parallel.stats.region_installs)
-        << name;
-    EXPECT_EQ(serial.stats.match_installs, parallel.stats.match_installs)
-        << name;
-    EXPECT_EQ(serial.rebuild_count, parallel.rebuild_count) << name;
-    EXPECT_EQ(serial.alert_count, parallel.alert_count) << name;
-    EXPECT_TRUE(serial.alerts_exact) << name;
-    EXPECT_TRUE(parallel.alerts_exact) << name;
+      const std::string name =
+          MethodName(method) + " at " + std::to_string(threads) + " threads";
+      EXPECT_TRUE(serial.stats.SameMessageCounts(parallel.stats))
+          << name << ": serial " << serial.stats << " vs parallel "
+          << parallel.stats;
+      EXPECT_EQ(serial.stats.reports, parallel.stats.reports) << name;
+      EXPECT_EQ(serial.stats.probes, parallel.stats.probes) << name;
+      EXPECT_EQ(serial.stats.alerts, parallel.stats.alerts) << name;
+      EXPECT_EQ(serial.stats.region_installs, parallel.stats.region_installs)
+          << name;
+      EXPECT_EQ(serial.stats.match_installs, parallel.stats.match_installs)
+          << name;
+      EXPECT_EQ(serial.rebuild_count, parallel.rebuild_count) << name;
+      EXPECT_EQ(serial.alert_count, parallel.alert_count) << name;
+      EXPECT_TRUE(parallel.alerts_exact) << name;
+    }
   }
+}
+
+// A dense crowd — few users, many friends each, a wide alert radius — where
+// one commit's probes and matches routinely change a later window member's
+// views: the speculative resolve must discard those builds (hits <
+// speculated) and still reproduce the 1-thread run exactly.
+TEST(DeterminismTest, SpeculationMissesStayExact) {
+  GlobalPoolGuard guard;
+  WorkloadConfig config = TinyConfig(40);
+  config.avg_friends = 20.0;
+  config.alert_radius_m = 12000.0;
+  const Workload workload = BuildWorkload(config);
+
+  ThreadPool::SetGlobalThreads(1);
+  obs::Metrics().Reset();
+  const RunResult serial = RunMethod(Method::kStripeKf, workload);
+  const std::string serial_digest =
+      obs::Metrics().Snapshot().DeterministicDigest();
+  ThreadPool::SetGlobalThreads(4);
+  obs::Metrics().Reset();
+  const RunResult parallel = RunMethod(Method::kStripeKf, workload);
+  const obs::MetricsSnapshot snapshot = obs::Metrics().Snapshot();
+
+  const uint64_t speculated =
+      snapshot.counters.at("engine.resolve.speculated").second;
+  const uint64_t hits =
+      snapshot.counters.at("engine.resolve.speculation_hits").second;
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(hits, speculated) << "the workload no longer forces a miss";
+  EXPECT_TRUE(serial.alerts_exact);
+  EXPECT_TRUE(parallel.alerts_exact);
+  EXPECT_EQ(serial.alert_count, parallel.alert_count);
+  EXPECT_EQ(serial.rebuild_count, parallel.rebuild_count);
+  EXPECT_TRUE(serial.stats == parallel.stats)
+      << serial.stats << " vs " << parallel.stats;
+  EXPECT_EQ(serial_digest, snapshot.DeterministicDigest());
 }
 
 std::vector<std::vector<RunResult>> RunTinySweep() {

@@ -5,6 +5,7 @@
 // fully enabled.
 
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -37,18 +38,62 @@ std::string DigestOfRun(Method method, const Workload& workload) {
   return obs::Metrics().Snapshot().DeterministicDigest();
 }
 
+// Every paper method plus Stripe+Linear. The five Stripe methods build
+// their regions speculatively on a multi-thread pool (RegionDetector's
+// speculative resolve) and record their stripe.* samples at commit; 3
+// threads gives a window that is not a power of two.
 TEST(ObsDeterminismTest, DigestIsIdenticalAcrossThreadCounts) {
   const Workload workload = BuildWorkload(TinyConfig(321));
-  for (const Method method : {Method::kNaive, Method::kCmd,
-                              Method::kStripeKf}) {
+  std::vector<Method> methods = PaperMethodSet();
+  methods.push_back(Method::kStripeLinear);
+  for (const Method method : methods) {
     ThreadPool::SetGlobalThreads(1);
     const std::string serial = DigestOfRun(method, workload);
     ASSERT_FALSE(serial.empty());
-    ThreadPool::SetGlobalThreads(4);
-    const std::string parallel = DigestOfRun(method, workload);
-    EXPECT_EQ(serial, parallel)
-        << MethodName(method) << ": deterministic metrics diverged between "
-        << "1 and 4 threads";
+    for (const unsigned threads : {2u, 3u, 4u, 8u}) {
+      ThreadPool::SetGlobalThreads(threads);
+      const std::string parallel = DigestOfRun(method, workload);
+      EXPECT_EQ(serial, parallel)
+          << MethodName(method) << ": deterministic metrics diverged between "
+          << "1 and " << threads << " threads";
+    }
+  }
+  ThreadPool::SetGlobalThreads(ThreadPool::DefaultThreadCount());
+}
+
+// The speculative resolve on the transported plane: every link call stays
+// in the serial commit, in queue order, so the wire schedule itself
+// (schedule_hash), not just the engine's view of it, is thread-count
+// invariant — sharded, batched and compressed.
+TEST(ObsDeterminismTest, TransportedStripeIdenticalAcrossThreadCounts) {
+  const Workload workload = BuildWorkload(TinyConfig(555));
+  for (const int shards : {1, 2}) {
+    net::NetConfig config;
+    config.shards = shards;
+    config.batch_downlink = true;
+    config.compress_installs = true;
+    auto run = [&](unsigned threads, std::string* digest) {
+      ThreadPool::SetGlobalThreads(threads);
+      obs::Metrics().Reset();
+      const net::TransportedRunResult result =
+          net::RunTransportedMethod(Method::kStripeKf, workload, config);
+      *digest = obs::Metrics().Snapshot().DeterministicDigest();
+      return result;
+    };
+    std::string serial_digest, parallel_digest;
+    const net::TransportedRunResult serial = run(1, &serial_digest);
+    const net::TransportedRunResult parallel = run(4, &parallel_digest);
+    EXPECT_TRUE(serial.run.alerts_exact) << shards << " shards";
+    EXPECT_TRUE(parallel.run.alerts_exact) << shards << " shards";
+    EXPECT_FALSE(parallel.net.failed) << shards << " shards";
+    EXPECT_EQ(serial.run.alert_count, parallel.run.alert_count);
+    EXPECT_EQ(serial.run.rebuild_count, parallel.run.rebuild_count);
+    EXPECT_TRUE(serial.run.stats == parallel.run.stats)
+        << shards << " shards: " << serial.run.stats << " vs "
+        << parallel.run.stats;
+    EXPECT_EQ(serial.net.schedule_hash, parallel.net.schedule_hash)
+        << shards << " shards";
+    EXPECT_EQ(serial_digest, parallel_digest) << shards << " shards";
   }
   ThreadPool::SetGlobalThreads(ThreadPool::DefaultThreadCount());
 }
