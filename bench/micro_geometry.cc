@@ -67,16 +67,6 @@ void BM_StripeStripeDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_StripeStripeDistance)->Arg(4)->Arg(11)->Arg(21);
 
-void BM_StripeStripeDistanceEq8(benchmark::State& state) {
-  Rng rng(3);
-  const Stripe a = RandomStripe(&rng, static_cast<int>(state.range(0)));
-  const Stripe b = RandomStripe(&rng, static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.ApproxDistanceToStripeEq8(b));
-  }
-}
-BENCHMARK(BM_StripeStripeDistanceEq8)->Arg(4)->Arg(11)->Arg(21);
-
 void BM_PolygonClip(benchmark::State& state) {
   Rng rng(4);
   const ConvexPolygon square = ConvexPolygon::Square({0, 0}, 1000.0);

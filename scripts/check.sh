@@ -37,8 +37,9 @@
 # invariance across thread counts is exactly the property TSan must not
 # perturb.
 #
-# A third leg runs the `simd`, `pair_check`, `core`, `engine` and `predict`
-# suites under -DPROXDET_SANITIZE=undefined: the branchless lane arithmetic
+# A third leg runs the `simd`, `pair_check`, `core`, `engine`, `predict`,
+# `geom`, `common` and `substrate` suites under
+# -DPROXDET_SANITIZE=undefined: the branchless lane arithmetic
 # in the vector kernels (masked selects, safe-divisor guards) must not hide
 # UB — every lane's intermediate math has to be well-defined even where a
 # mask discards it, including the pair check's batched gap < r lanes — and
@@ -48,13 +49,19 @@
 # The `engine` suite (naive detectors, policies, every method against the
 # ground truth, the simulation loop, the region detector) runs the same
 # kernels end to end; the `predict` suite covers the prediction models.
+# The `geom` suite checks the Stripe's single-buffer layout, whose segment
+# lanes are pointer offsets into its anchor arrays; `common` (RNG, stats,
+# linear algebra) and `substrate` (road network, trajectories, interest
+# graph) are the plain numeric code everything else stands on.
 #
 # A fourth leg runs the protocol and observability suites — `net`, `shard`,
-# `latency`, `socket` and `obs` — under -DPROXDET_SANITIZE=address. The
-# transport recycles frame buffers through a pool, keeps pending frames in
-# per-peer ring slots, decodes into a per-thread scratch frame and records
-# protocol events into fixed ring arrays: a use-after-free or an overrun in
-# any of them shows up here.
+# `latency`, `socket` and `obs` — plus `geom`, `common` and `substrate`
+# under -DPROXDET_SANITIZE=address. The transport recycles frame buffers
+# through a pool, keeps pending frames in per-peer ring slots, decodes into
+# a per-thread scratch frame and records protocol events into fixed ring
+# arrays; a Stripe's kernels read its segment end points through the
+# anchor arrays offset by one: a use-after-free or an overrun in any of
+# them shows up here.
 #
 #   scripts/check.sh [extra cmake args...]
 #
@@ -82,10 +89,12 @@ PROXDET_SIMD_FORCE=scalar \
 
 cmake -B "$UBSAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=undefined "$@"
 cmake --build "$UBSAN_BUILD_DIR" -j "$JOBS"
-ctest --test-dir "$UBSAN_BUILD_DIR" -L 'simd|pair_check|core|engine|predict' \
+ctest --test-dir "$UBSAN_BUILD_DIR" \
+  -L 'simd|pair_check|core|engine|predict|geom|common|substrate' \
   --output-on-failure -j "$JOBS"
 
 cmake -B "$ASAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=address "$@"
 cmake --build "$ASAN_BUILD_DIR" -j "$JOBS"
-ctest --test-dir "$ASAN_BUILD_DIR" -L 'net|shard|latency|socket|obs' \
+ctest --test-dir "$ASAN_BUILD_DIR" \
+  -L 'net|shard|latency|socket|obs|geom|common|substrate' \
   --output-on-failure -j "$JOBS"

@@ -104,8 +104,8 @@ Vec2 RepresentativePoint(const SafeRegionShape& shape, int epoch) {
           for (const Vec2& v : s.vertices()) acc += v;
           return acc / static_cast<double>(s.vertices().size());
         } else {
-          const auto& pts = s.path().points();
-          return pts.empty() ? Vec2{0.0, 0.0} : pts[pts.size() / 2];
+          const size_t n = s.anchor_count();
+          return n == 0 ? Vec2{0.0, 0.0} : s.anchor(n / 2);
         }
       },
       shape);

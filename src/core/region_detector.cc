@@ -106,6 +106,15 @@ struct SpeculationMetrics {
 
 constexpr double kMinSpeed = 1e-3;  // m/epoch floor for estimates.
 
+// Probe threshold: when a reporting user's distance to a friend's region
+// leaves less than this much slack beyond the alert radius, the friend is
+// probed (its exact position is required for safety).
+constexpr double kMinGap = 1.0;  // meters
+
+// Recent-window length attached to reports: the predictor input, whose
+// length the paper fixes at 10.
+constexpr size_t kWindow = 10;
+
 // Queued users per pool thread in one speculative resolve window
 // (DESIGN.md §15). A wider window spreads one fork-join over more builds;
 // its later members are likelier to have their views changed by an
@@ -319,10 +328,9 @@ struct RegionDetector::Impl {
       // consumes position + window exactly as the server decoded them (the
       // codec's exact round-trip keeps this bit-identical to the direct
       // read below).
-      self.link_->Report(u, epoch, self.options_.window, &users[u].pos,
-                         &window_buf);
+      self.link_->Report(u, epoch, kWindow, &users[u].pos, &window_buf);
     } else {
-      world.RecentWindow(u, epoch, self.options_.window, &window_buf);
+      world.RecentWindow(u, epoch, kWindow, &window_buf);
     }
     users[u].speed = WindowSpeed(window_buf, users[u].speed);
   }
@@ -439,7 +447,7 @@ struct RegionDetector::Impl {
         // radius (the paper's insertion rule).
         if (users[up.u].region && users[up.w].region &&
             ShapeMinDistanceBelow(*users[up.u].region, *users[up.w].region,
-                                  epoch, up.alert_radius + self.options_.min_gap,
+                                  epoch, up.alert_radius + kMinGap,
                                   /*inclusive=*/true)) {
           Probe(up.u);
           Probe(up.w);
@@ -719,14 +727,14 @@ struct RegionDetector::Impl {
 
   /// Pass 1's probe rule: an unreported friend `w` is probed when its
   /// region leaves the rebuilding user (at `l_u`, speed `v_u`) no more than
-  /// min_gap plus the kinetic closing distance beyond the alert radius.
+  /// kMinGap plus the kinetic closing distance beyond the alert radius.
   bool ProbeWanted(const Vec2& l_u, double v_u, UserId w, double r) const {
-    // gap <= min_gap + closing, phrased so the AABB lower bound can settle
+    // gap <= kMinGap + closing, phrased so the AABB lower bound can settle
     // the comparison without exact point-to-shape geometry.
     const double closing =
         self.options_.probe_horizon_epochs * (v_u + users[w].speed);
     return ShapeDistanceToPointBelow(*users[w].region, l_u, epoch,
-                                     r + self.options_.min_gap + closing,
+                                     r + kMinGap + closing,
                                      /*inclusive=*/true);
   }
 
@@ -776,7 +784,7 @@ struct RegionDetector::Impl {
       bool needs_w = needs_region(w);
       double speed_w = users[w].speed;
       if (!reported_w && ProbeWanted(l_u, v_u, w, fe.alert_radius)) {
-        world.RecentWindow(w, epoch, self.options_.window, &slot->window);
+        world.RecentWindow(w, epoch, kWindow, &slot->window);
         speed_w = WindowSpeed(slot->window, speed_w);
         reported_w = needs_w = true;
       }
@@ -785,7 +793,7 @@ struct RegionDetector::Impl {
       slot->views.push_back(MakeView(l_u, v_u, fe, speed_w, split));
       slot->versions.push_back(install_version[w]);
     }
-    world.RecentWindow(u, epoch, self.options_.window, &slot->window);
+    world.RecentWindow(u, epoch, kWindow, &slot->window);
   }
 
   /// True when the views the commit collected are the ones the speculative
@@ -894,7 +902,7 @@ struct RegionDetector::Impl {
         self.policy_->RecordBuild(*slot->build.sample);
         shape = std::move(slot->build.shape);
       } else {
-        world.RecentWindow(u, epoch, self.options_.window, &window_buf);
+        world.RecentWindow(u, epoch, kWindow, &window_buf);
         shape = self.policy_->BuildRegion(u, l_u, window_buf, v_u,
                                           friend_views, epoch);
       }

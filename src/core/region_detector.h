@@ -16,8 +16,8 @@ namespace proxdet {
 /// same epoch), the pair's alert radius and the server's speed estimate.
 ///
 /// The installed-region case BORROWS the engine's shape (`borrowed`)
-/// instead of copying it: a Stripe carries its per-segment SoA cache, and
-/// deep-copying ~F of them per rebuild was a top profile entry. The
+/// instead of copying it: copying a Stripe allocates its anchor buffer,
+/// and deep-copying ~F of them per rebuild was a top profile entry. The
 /// borrowed pointer is valid for the duration of the build that reads it:
 /// BuildRegion runs inside the serial commit, and a concurrent build runs
 /// while the engine's state is frozen (the resolve phase's speculative
@@ -125,10 +125,6 @@ class RegionPolicy {
 class RegionDetector : public Detector {
  public:
   struct Options {
-    /// Probe threshold: when a reporting user's distance to a friend's
-    /// region leaves less than this much slack beyond the alert radius, the
-    /// friend is probed (its exact position is required for safety).
-    double min_gap = 1.0;  // meters
     /// Kinetic probe threshold (Sec. V-B case 2): also probe when the pair
     /// could close the remaining slack within this many epochs at their
     /// estimated speeds. A stale friend region that leaves the rebuilder
@@ -136,9 +132,6 @@ class RegionDetector : public Detector {
     /// epoch; one probe instead frees the space and both sides get an
     /// Eq. (5)-style split of the true slack.
     double probe_horizon_epochs = 0.0;
-    /// Recent-window length attached to reports (predictor input; the
-    /// paper fixes input length 10).
-    size_t window = 10;
     /// When true, every rebuilt region is checked against the soundness
     /// contract (it contains the user and clears every friend constraint),
     /// and the incremental edge snapshot against a from-scratch

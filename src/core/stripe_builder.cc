@@ -46,9 +46,9 @@ double SegmentToShape(const Vec2& a, const Vec2& b,
           // Stripe::DistanceToStripe's branch structure with the temporary
           // as the (always 2-point) left-hand path.
           double d;
-          if (s.path().empty()) {
+          if (s.anchor_count() == 0) {
             d = std::numeric_limits<double>::infinity();
-          } else if (s.path().size() == 1) {
+          } else if (s.anchor_count() == 1) {
             double sq;
             simd::SegmentSquaredDistanceToPoints(a.x, a.y, dx, dy, len2,
                                                  s.anchor_xs(), s.anchor_ys(),
@@ -134,9 +134,9 @@ void StageConstraints(const std::vector<StripeFriendConstraint>& friends,
             out.ptr.push_back(c.radius);
             out.pt_friend.push_back(i);
           } else if constexpr (std::is_same_v<T, Stripe>) {
-            // Empty path: both distances are +infinity, a min no-op — drop.
-            if (s.path().empty()) return;
-            if (s.path().size() == 1) {
+            // No anchors: both distances are +infinity, a min no-op — drop.
+            if (s.anchor_count() == 0) return;
+            if (s.anchor_count() == 1) {
               out.ptx.push_back(s.anchor_xs()[0]);
               out.pty.push_back(s.anchor_ys()[0]);
               out.ptr.push_back(s.radius());
@@ -408,10 +408,8 @@ StripeBuildResult BuildPredictiveStripe(
     // stripes only dilute the cost model (Algorithm 2's p_min cutoff).
     if (sol.stay_pow < config.p_min) break;
   }
-  best.stripe = Stripe(
-      Polyline(std::vector<Vec2>(anchors.begin(),
-                                 anchors.begin() + best.m + 1)),
-      best.solution.radius);
+  best.stripe = Stripe(anchors.data(), static_cast<size_t>(best.m) + 1,
+                       best.solution.radius);
   best.staged_point_lanes = staged.ptx.size();
   best.staged_segment_lanes = staged.sax.size();
   best.kernel_dispatches = dispatches;

@@ -5,59 +5,75 @@
 #include <limits>
 
 namespace proxdet {
+namespace {
 
-Stripe::Stripe(Polyline path, double radius)
-    : path_(std::move(path)), radius_(radius) {
-  if (!path_.empty()) {
-    reject_box_.lo = reject_box_.hi = path_.points().front();
-    for (const Vec2& p : path_.points()) reject_box_.Extend(p);
-    // Inflate by the radius plus 1e-6: three orders of magnitude above the
-    // 1e-9 containment tolerance, so rounding in the inflation can never
-    // turn a contained point into a reject.
-    const double margin = radius_ + 1e-6;
-    reject_box_.lo -= Vec2{margin, margin};
-    reject_box_.hi += Vec2{margin, margin};
-    has_reject_box_ = true;
-  }
+// Segment lanes for n >= 1 anchors: n - 1, or one degenerate segment.
+size_t SegmentLanes(size_t n) { return n == 1 ? 1 : n - 1; }
 
-  // Build the SoA cache: per-segment a, b, d = b - a, len2 = |d|^2 (the
-  // exact doubles ClosestPointOnSegment derives per call), then the anchor
-  // coordinates. A single-point path becomes one degenerate segment.
-  const std::vector<Vec2>& pts = path_.points();
-  const size_t n = pts.size();
-  soa_segs_ = n == 0 ? 0 : (n == 1 ? 1 : n - 1);
-  soa_.resize(7 * soa_segs_ + 2 * n);
-  double* ax = soa_.data();
-  double* ay = ax + soa_segs_;
-  double* bx = ay + soa_segs_;
-  double* by = bx + soa_segs_;
-  double* dx = by + soa_segs_;
-  double* dy = dx + soa_segs_;
-  double* len2 = dy + soa_segs_;
-  for (size_t i = 0; i < soa_segs_; ++i) {
-    const Vec2& a = pts[i];
-    const Vec2& b = pts[n == 1 ? 0 : i + 1];
-    ax[i] = a.x;
-    ay[i] = a.y;
-    bx[i] = b.x;
-    by[i] = b.y;
-    dx[i] = b.x - a.x;
-    dy[i] = b.y - a.y;
-    len2[i] = dx[i] * dx[i] + dy[i] * dy[i];
-  }
-  double* px = len2 + soa_segs_;
-  double* py = px + n;
+}  // namespace
+
+Stripe::Stripe(const Polyline& path, double radius)
+    : Stripe(path.points().data(), path.size(), radius) {}
+
+Stripe::Stripe(const Vec2* anchors, size_t n, double radius)
+    : radius_(radius) {
+  if (n == 0) return;
+  reject_box_.lo = reject_box_.hi = anchors[0];
+  for (size_t i = 0; i < n; ++i) reject_box_.Extend(anchors[i]);
+  // Inflate by the radius plus 1e-6: three orders of magnitude above the
+  // 1e-9 containment tolerance, so rounding in the inflation can never
+  // turn a contained point into a reject.
+  const double margin = radius_ + 1e-6;
+  reject_box_.lo -= Vec2{margin, margin};
+  reject_box_.hi += Vec2{margin, margin};
+
+  // Anchors, then per segment d = b - a and len2 = |d|^2 (the exact doubles
+  // ClosestPointOnSegment derives per call). A single anchor is one
+  // degenerate segment from the anchor to itself.
+  const size_t s = SegmentLanes(n);
+  buf_.resize(2 * n + 3 * s);
+  double* xs = buf_.data();
+  double* ys = xs + n;
+  double* dx = ys + n;
+  double* dy = dx + s;
+  double* len2 = dy + s;
   for (size_t i = 0; i < n; ++i) {
-    px[i] = pts[i].x;
-    py[i] = pts[i].y;
+    xs[i] = anchors[i].x;
+    ys[i] = anchors[i].y;
+  }
+  for (size_t i = 0; i < s; ++i) {
+    const size_t j = n == 1 ? 0 : i + 1;
+    dx[i] = xs[j] - xs[i];
+    dy[i] = ys[j] - ys[i];
+    len2[i] = dx[i] * dx[i] + dy[i] * dy[i];
   }
 }
 
+simd::SegmentSoA Stripe::segments_soa() const {
+  const size_t n = anchor_count();
+  if (n == 0) return simd::SegmentSoA{};
+  const size_t s = SegmentLanes(n);
+  const double* xs = anchor_xs();
+  const double* ys = xs + n;
+  const size_t b = n == 1 ? 0 : 1;  // Offset of segment i's end anchor.
+  const double* dx = ys + n;
+  return simd::SegmentSoA{xs, ys, xs + b, ys + b, dx, dx + s, dx + 2 * s, s};
+}
+
+bool operator==(const Stripe& a, const Stripe& b) {
+  const size_t n = a.anchor_count();
+  if (a.radius_ != b.radius_ || n != b.anchor_count()) return false;
+  for (size_t i = 0; i < n; ++i) {
+    if (!(a.anchor(i) == b.anchor(i))) return false;
+  }
+  return true;
+}
+
 bool Stripe::Contains(const Vec2& p) const {
-  // AABB early-reject: every path point is inside reject_box_ deflated by
+  // AABB early-reject: every anchor is inside reject_box_ deflated by
   // radius_ + 1e-6, so any p outside the box is strictly farther than the
   // containment threshold from every segment.
-  if (!has_reject_box_ || !reject_box_.Contains(p)) {
+  if (!has_bounds() || !reject_box_.Contains(p)) {
     return false;
   }
   return std::sqrt(simd::PolylineSquaredDistanceToPoint(segments_soa(), p.x,
@@ -74,18 +90,20 @@ double Stripe::DistanceToPoint(const Vec2& p) const {
 
 double Stripe::DistanceToStripe(const Stripe& other) const {
   // Polyline::DistanceToPolyline's branch structure, with the scans routed
-  // through the batched kernels (single-point paths take the point-distance
-  // branches exactly as the scalar code does — the degenerate-segment SoA
-  // encoding is only bit-safe for point kernels).
+  // through the batched kernels (single-anchor stripes take the
+  // point-distance branches exactly as the scalar code does — the
+  // degenerate-segment encoding is only bit-safe for point kernels).
+  const size_t n = anchor_count();
+  const size_t other_n = other.anchor_count();
   double d;
-  if (path_.empty() || other.path_.empty()) {
+  if (n == 0 || other_n == 0) {
     d = std::numeric_limits<double>::infinity();
-  } else if (path_.size() == 1) {
+  } else if (n == 1) {
     d = std::sqrt(simd::PolylineSquaredDistanceToPoint(
-        other.segments_soa(), path_.points()[0].x, path_.points()[0].y));
-  } else if (other.path_.size() == 1) {
+        other.segments_soa(), anchor_xs()[0], anchor_ys()[0]));
+  } else if (other_n == 1) {
     d = std::sqrt(simd::PolylineSquaredDistanceToPoint(
-        segments_soa(), other.path_.points()[0].x, other.path_.points()[0].y));
+        segments_soa(), other.anchor_xs()[0], other.anchor_ys()[0]));
   } else {
     const simd::SegmentSoA mine = segments_soa();
     const simd::SegmentSoA theirs = other.segments_soa();
@@ -101,52 +119,11 @@ double Stripe::DistanceToStripe(const Stripe& other) const {
   return std::max(0.0, d - radius_ - other.radius_);
 }
 
-double Stripe::ApproxDistanceToStripeEq8(const Stripe& other) const {
-  // Eq. (8): min{ min_i d(a_i, S_w) - s^u, min_j d(b_j, S_u) - s^w } where
-  // a_i are this stripe's anchors and b_j the other's. Each anchor set is
-  // scanned as one batched polyline-distance call (chunked through a stack
-  // buffer); the min fold keeps the scalar's sequential order.
-  constexpr size_t kChunk = 64;
-  double sq[kChunk];
-  double best = std::numeric_limits<double>::infinity();
-  const simd::SegmentSoA mine = segments_soa();
-  const simd::SegmentSoA theirs = other.segments_soa();
-  for (size_t i0 = 0; i0 < anchor_count(); i0 += kChunk) {
-    const size_t c = std::min(kChunk, anchor_count() - i0);
-    simd::PolylineSquaredDistanceToPoints(theirs, anchor_xs() + i0,
-                                          anchor_ys() + i0, c, sq);
-    for (size_t k = 0; k < c; ++k) {
-      const double dp = std::max(0.0, std::sqrt(sq[k]) - other.radius_);
-      best = std::min(best, dp - radius_);
-    }
-  }
-  for (size_t i0 = 0; i0 < other.anchor_count(); i0 += kChunk) {
-    const size_t c = std::min(kChunk, other.anchor_count() - i0);
-    simd::PolylineSquaredDistanceToPoints(mine, other.anchor_xs() + i0,
-                                          other.anchor_ys() + i0, c, sq);
-    for (size_t k = 0; k < c; ++k) {
-      const double dp = std::max(0.0, std::sqrt(sq[k]) - radius_);
-      best = std::min(best, dp - other.radius_);
-    }
-  }
-  return std::max(0.0, best);
-}
-
 double Stripe::DistanceToCircle(const Circle& c) const {
   return std::max(
       0.0, std::sqrt(simd::PolylineSquaredDistanceToPoint(
                segments_soa(), c.center.x, c.center.y)) -
                radius_ - c.radius);
-}
-
-double Stripe::CapsuleAreaUpperBound() const {
-  const double pi = 3.14159265358979323846;
-  if (path_.empty()) return 0.0;
-  double area = pi * radius_ * radius_;  // End caps, counted once total.
-  for (size_t i = 0; i < path_.segment_count(); ++i) {
-    area += 2.0 * radius_ * path_.segment(i).Length();
-  }
-  return area;
 }
 
 }  // namespace proxdet

@@ -15,39 +15,43 @@ namespace proxdet {
 /// polyline of predicted locations. This is the paper's predictive safe
 /// region. Containment is *time-independent* — a user anywhere along the
 /// buffered path is safe regardless of speed (Sec. V-A).
+///
+/// The anchors are stored once, in one heap buffer laid out as
+/// [xs(n) | ys(n) | dx(s) | dy(s) | len2(s)] with s = n - 1 segments
+/// (s = 1 for a single anchor: one degenerate segment). The segment kernels
+/// read the anchor arrays in place: segment i runs from anchor i to
+/// anchor i + 1, so its a lanes are xs/ys and its b lanes the same arrays
+/// offset by one.
 class Stripe {
  public:
   Stripe() = default;
-  Stripe(Polyline path, double radius);
+  Stripe(const Polyline& path, double radius);
+  /// Stripe over anchors[0..n).
+  Stripe(const Vec2* anchors, size_t n, double radius);
 
-  const Polyline& path() const { return path_; }
   double radius() const { return radius_; }
 
-  /// Cached axis-aligned bounds: the path box inflated by radius_ plus the
-  /// reject margin. Contains the whole stripe, so box distances derived
+  /// Cached axis-aligned bounds: the anchor box inflated by radius_ plus
+  /// the reject margin. Contains the whole stripe, so box distances derived
   /// from it are sound lower bounds. Only meaningful when has_bounds().
   const BBox& bounds() const { return reject_box_; }
-  bool has_bounds() const { return has_reject_box_; }
+  bool has_bounds() const { return !buf_.empty(); }
 
-  /// SoA view of the path's segments, precomputed at construction (the
-  /// batched kernels read these instead of re-deriving b - a per query).
-  /// A single-point path is cached as one degenerate segment, which the
-  /// point-distance kernels resolve bitwise like the scalar special case;
-  /// callers doing segment-segment work must branch on path().size() == 1
-  /// exactly like Polyline::DistanceToPolyline does.
-  simd::SegmentSoA segments_soa() const {
-    const double* b = soa_.data();
-    const size_t s = soa_segs_;
-    return simd::SegmentSoA{b,         b + s,     b + 2 * s, b + 3 * s,
-                            b + 4 * s, b + 5 * s, b + 6 * s, s};
-  }
-  /// The path's anchor points split into coordinate arrays (for batched
-  /// Eq. (8) scans). anchor_count() == path().size().
-  const double* anchor_xs() const { return soa_.data() + 7 * soa_segs_; }
-  const double* anchor_ys() const {
-    return soa_.data() + 7 * soa_segs_ + path_.size();
-  }
-  size_t anchor_count() const { return path_.size(); }
+  /// The buffer holds 2n + 3s doubles: 5 for one anchor, 5n - 3 for
+  /// n >= 2, so the anchor count is derived from its size, not stored.
+  size_t anchor_count() const { return (buf_.size() + 3) / 5; }
+  Vec2 anchor(size_t i) const { return {anchor_xs()[i], anchor_ys()[i]}; }
+  /// The anchors split into coordinate arrays (anchor_count() each).
+  const double* anchor_xs() const { return buf_.data(); }
+  const double* anchor_ys() const { return buf_.data() + anchor_count(); }
+
+  /// SoA view of the segments, read in place from the stored buffer (the
+  /// batched kernels read d = b - a and |d|^2 instead of re-deriving them
+  /// per query). A single-anchor stripe is one degenerate segment, which
+  /// the point-distance kernels resolve bitwise like the scalar special
+  /// case; callers doing segment-segment work must branch on
+  /// anchor_count() == 1 exactly like Polyline::DistanceToPolyline does.
+  simd::SegmentSoA segments_soa() const;
 
   /// Closed containment: boundary points are inside the safe region.
   bool Contains(const Vec2& p) const;
@@ -60,40 +64,23 @@ class Stripe {
   /// region-pair safety check.
   double DistanceToStripe(const Stripe& other) const;
 
-  /// The paper's Eq. (8) approximation of stripe-stripe distance: the
-  /// minimum over each stripe's *anchor points* of the point-to-other-stripe
-  /// distance. Never smaller than the exact distance minus 0 (it is an upper
-  /// bound on the exact distance); the cost model uses it, the safety check
-  /// does not.
-  double ApproxDistanceToStripeEq8(const Stripe& other) const;
-
   /// Minimum distance from a disk to the stripe (0 when intersecting).
   double DistanceToCircle(const Circle& c) const;
 
-  /// Area of the buffered polyline, counting overlaps once is NOT attempted:
-  /// this is the simple per-capsule sum used only for diagnostics.
-  double CapsuleAreaUpperBound() const;
-
-  /// Exact (bitwise) structural equality on path and radius (the reject box
-  /// and SoA cache are derived from them); the wire codec's round-trip
-  /// guarantee is stated in terms of it.
-  friend bool operator==(const Stripe& a, const Stripe& b) {
-    return a.radius_ == b.radius_ && a.path_ == b.path_;
-  }
+  /// Exact (bitwise, Vec2 ==) structural equality on radius and anchors
+  /// (the reject box and segment lanes are derived from them); the wire
+  /// codec's round-trip guarantee is stated in terms of it.
+  friend bool operator==(const Stripe& a, const Stripe& b);
 
  private:
-  Polyline path_;
+  // [xs | ys | dx | dy | len2], filled once in the constructor; empty when
+  // there are no anchors.
+  std::vector<double> buf_;
   double radius_ = 0.0;
-  // Bounding box of the path inflated by radius_ plus a margin that safely
-  // dominates the containment tolerance; Contains() rejects points outside
-  // it without scanning a single segment. Invalid when the path is empty.
+  // Bounding box of the anchors inflated by radius_ plus a margin that
+  // safely dominates the containment tolerance; Contains() rejects points
+  // outside it without scanning a single segment. Invalid without anchors.
   BBox reject_box_;
-  bool has_reject_box_ = false;
-  // Segment SoA ([ax][ay][bx][by][dx][dy][len2], soa_segs_ each) followed by
-  // the anchor coordinate arrays ([px][py], path size each). One flat
-  // buffer, filled once in the constructor.
-  std::vector<double> soa_;
-  size_t soa_segs_ = 0;
 };
 
 }  // namespace proxdet

@@ -379,6 +379,14 @@ enum ShapeTag : uint8_t {
   kTagStripeQ = 6,
 };
 
+/// The calling thread's anchor list for the stripe codec: a Stripe stores
+/// its anchors as coordinate arrays and the point codecs take a Vec2 list.
+/// Reused across messages, so steady-state installs allocate nothing here.
+std::vector<Vec2>& AnchorScratch() {
+  thread_local std::vector<Vec2> scratch;
+  return scratch;
+}
+
 struct ShapeEncoder {
   WireWriter* w;
   bool allow_quantized = false;
@@ -404,17 +412,22 @@ struct ShapeEncoder {
     w->PutPoints(p.vertices());
   }
   void operator()(const Stripe& s) const {
-    // Only the path is quantized; the radius is a solver output off any
+    std::vector<Vec2>& anchors = AnchorScratch();
+    anchors.clear();
+    for (size_t i = 0; i < s.anchor_count(); ++i) {
+      anchors.push_back(s.anchor(i));
+    }
+    // Only the anchors are quantized; the radius is a solver output off any
     // grid, and at 8 bytes per install it is not worth approximating.
-    if (allow_quantized && PointsQuantizable(s.path().points())) {
+    if (allow_quantized && PointsQuantizable(anchors)) {
       w->PutU8(kTagStripeQ);
       w->PutDouble(s.radius());
-      w->PutPointsQuantized(s.path().points());
+      w->PutPointsQuantized(anchors);
       return;
     }
     w->PutU8(kTagStripe);
     w->PutDouble(s.radius());
-    w->PutPoints(s.path().points());
+    w->PutPoints(anchors);
   }
 };
 
@@ -455,9 +468,9 @@ bool GetShape(WireReader* r, SafeRegionShape* out) {
     }
     case kTagStripe: {
       const double radius = r->GetDouble();
-      std::vector<Vec2> points;
-      if (!r->GetPoints(&points)) return false;
-      *out = Stripe(Polyline(std::move(points)), radius);
+      std::vector<Vec2>& anchors = AnchorScratch();
+      if (!r->GetPoints(&anchors)) return false;
+      *out = Stripe(anchors.data(), anchors.size(), radius);
       break;
     }
     case kTagPolygonQ: {
@@ -468,9 +481,9 @@ bool GetShape(WireReader* r, SafeRegionShape* out) {
     }
     case kTagStripeQ: {
       const double radius = r->GetDouble();
-      std::vector<Vec2> points;
-      if (!r->GetPointsQuantized(&points)) return false;
-      *out = Stripe(Polyline(std::move(points)), radius);
+      std::vector<Vec2>& anchors = AnchorScratch();
+      if (!r->GetPointsQuantized(&anchors)) return false;
+      *out = Stripe(anchors.data(), anchors.size(), radius);
       break;
     }
     default:

@@ -6,26 +6,29 @@
 namespace proxdet {
 namespace {
 
-// Distance between a polyline and a convex polygon boundary/interior.
-double PolylineToPolygon(const Polyline& line, const ConvexPolygon& poly) {
-  if (line.empty() || poly.empty()) {
+// Distance between a stripe's anchor polyline and a convex polygon
+// boundary/interior.
+double AnchorsToPolygon(const Stripe& s, const ConvexPolygon& poly) {
+  const size_t n = s.anchor_count();
+  if (n == 0 || poly.empty()) {
     return std::numeric_limits<double>::infinity();
   }
   // Inside-polygon cases collapse to zero via the vertex-distance test.
   double best = std::numeric_limits<double>::infinity();
-  for (const Vec2& p : line.points()) {
-    best = std::min(best, poly.DistanceToPoint(p));
+  for (size_t i = 0; i < n; ++i) {
+    best = std::min(best, poly.DistanceToPoint(s.anchor(i)));
     if (best == 0.0) return 0.0;
   }
   const auto& verts = poly.vertices();
   for (size_t i = 0; i < verts.size(); ++i) {
     const Segment edge{verts[i], verts[(i + 1) % verts.size()]};
-    if (line.size() == 1) {
-      best = std::min(best, DistancePointToSegment(line.points()[0], edge));
+    if (n == 1) {
+      best = std::min(best, DistancePointToSegment(s.anchor(0), edge));
       continue;
     }
-    for (size_t j = 0; j + 1 < line.size(); ++j) {
-      best = std::min(best, DistanceSegmentToSegment(edge, line.segment(j)));
+    for (size_t j = 0; j + 1 < n; ++j) {
+      best = std::min(best, DistanceSegmentToSegment(
+                                edge, Segment{s.anchor(j), s.anchor(j + 1)}));
       if (best == 0.0) return 0.0;
     }
   }
@@ -37,7 +40,7 @@ double CircleToPolygon(const Circle& c, const ConvexPolygon& poly) {
 }
 
 double StripeToPolygon(const Stripe& s, const ConvexPolygon& poly) {
-  return std::max(0.0, PolylineToPolygon(s.path(), poly) - s.radius());
+  return std::max(0.0, AnchorsToPolygon(s, poly) - s.radius());
 }
 
 double StripeToCircleShape(const Stripe& s, const Circle& c) {

@@ -133,7 +133,7 @@ TEST(StripePolicyTest, BuildsStripeAlongPrediction) {
   ASSERT_NE(stripe, nullptr);
   EXPECT_TRUE(stripe->Contains({0, 0}));
   // Linear predictor extends east; the far anchor should be east of start.
-  EXPECT_GT(stripe->path().points().back().x, 100.0);
+  EXPECT_GT(stripe->anchor(stripe->anchor_count() - 1).x, 100.0);
 }
 
 TEST(StripePolicyTest, SafetyAgainstFriends) {

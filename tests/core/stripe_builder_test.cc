@@ -27,7 +27,7 @@ TEST(StripeBuilderTest, NoFriendsFullHorizon) {
   const StripeBuildResult res =
       BuildPredictiveStripe(current, predicted, {}, 100.0, config, 0);
   EXPECT_EQ(res.m, 8);
-  EXPECT_EQ(res.stripe.path().points().size(), 9u);  // Anchored at current.
+  EXPECT_EQ(res.stripe.anchor_count(), 9u);  // Anchored at current.
   EXPECT_DOUBLE_EQ(res.stripe.radius(), config.sigma_cap_mult * config.sigma);
   EXPECT_TRUE(res.stripe.Contains(current));
 }
@@ -118,7 +118,7 @@ TEST(StripeBuilderTest, EmptyPredictionDegeneratesToDisk) {
   const StripeBuildResult res =
       BuildPredictiveStripe({5, 5}, {}, {}, 2.0, config, 0);
   EXPECT_EQ(res.m, 0);
-  EXPECT_EQ(res.stripe.path().points().size(), 1u);
+  EXPECT_EQ(res.stripe.anchor_count(), 1u);
   EXPECT_DOUBLE_EQ(res.stripe.radius(), config.sigma_cap_mult * config.sigma);
   EXPECT_TRUE(res.stripe.Contains({5, 5}));
 }

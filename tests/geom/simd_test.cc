@@ -517,14 +517,12 @@ TEST(SimdStripeTest, StripeQueriesBackendInvariant) {
     const bool want_contains = a.Contains(probe);
     const double want_dp = a.DistanceToPoint(probe);
     const double want_ds = a.DistanceToStripe(b);
-    const double want_eq8 = a.ApproxDistanceToStripeEq8(b);
     for (const simd::Backend backend : backends) {
       ASSERT_TRUE(simd::SetActiveBackendForTest(backend));
       SCOPED_TRACE(std::string("backend=") + simd::BackendName(backend));
       EXPECT_EQ(a.Contains(probe), want_contains);
       EXPECT_BITEQ(a.DistanceToPoint(probe), want_dp);
       EXPECT_BITEQ(a.DistanceToStripe(b), want_ds);
-      EXPECT_BITEQ(a.ApproxDistanceToStripeEq8(b), want_eq8);
     }
   }
   simd::SetActiveBackendForTest(simd::Backend::kScalar);
