@@ -55,13 +55,17 @@
 # graph) are the plain numeric code everything else stands on.
 #
 # A fourth leg runs the protocol and observability suites — `net`, `shard`,
-# `latency`, `socket` and `obs` — plus `geom`, `common` and `substrate`
-# under -DPROXDET_SANITIZE=address. The transport recycles frame buffers
-# through a pool, keeps pending frames in per-peer ring slots, decodes into
-# a per-thread scratch frame and records protocol events into fixed ring
-# arrays; a Stripe's kernels read its segment end points through the
-# anchor arrays offset by one: a use-after-free or an overrun in any of
-# them shows up here.
+# `latency`, `socket` and `obs` — plus `geom`, `common` and `substrate`,
+# and the kernel and builder suites — `simd`, `pair_check`, `core`,
+# `engine` and `predict` — under -DPROXDET_SANITIZE=address. The transport
+# recycles frame buffers through a pool, keeps pending frames in per-peer
+# ring slots, decodes into a per-thread scratch frame and records protocol
+# events into fixed ring arrays; a Stripe's kernels read its segment end
+# points through the anchor arrays offset by one; the vector kernels load
+# whole lane blocks and hand the remainder to the scalar tail; and the
+# stripe builder stages every friend constraint into reused per-thread SoA
+# scratch and reduces over lane ranges of it: a use-after-free or an
+# overrun in any of them shows up here.
 #
 #   scripts/check.sh [extra cmake args...]
 #
@@ -96,5 +100,5 @@ ctest --test-dir "$UBSAN_BUILD_DIR" \
 cmake -B "$ASAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=address "$@"
 cmake --build "$ASAN_BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$ASAN_BUILD_DIR" \
-  -L 'net|shard|latency|socket|obs|geom|common|substrate' \
+  -L 'net|shard|latency|socket|obs|geom|common|substrate|simd|pair_check|core|engine|predict' \
   --output-on-failure -j "$JOBS"

@@ -11,13 +11,9 @@ class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}
 
-  void Restart() { start_ = Clock::now(); }
-
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -25,9 +21,8 @@ class WallTimer {
 };
 
 /// RAII stopwatch: accumulates the scope's elapsed wall-clock seconds into
-/// the bound accumulator on destruction. Replaces the manual
-/// Restart()/ElapsedSeconds() pairing around server-side bookkeeping —
-/// early returns and exceptions can no longer skip the accumulation.
+/// the bound accumulator on destruction, so early returns and exceptions
+/// cannot skip the accumulation around server-side bookkeeping.
 class ScopedTimer {
  public:
   explicit ScopedTimer(double& accumulator) : accumulator_(accumulator) {}

@@ -12,6 +12,20 @@ namespace proxdet {
 
 namespace {
 
+/// StaticPolygonPolicy: half-extent of the bounding square before friend
+/// clipping (caps region size when no friend is nearby), and the
+/// verify-and-shrink iterations against non-circular friend regions.
+constexpr double kStaticExtentCap = 3000.0;  // meters
+constexpr int kStaticMaxShrinkIterations = 6;
+
+/// MobileCirclePolicy: the base radius, and CMD's multiplier steps (grow on
+/// exit, shrink on probe) and the bounds it is held within.
+constexpr double kMobileBaseRadius = 500.0;  // meters
+constexpr double kCmdIncrease = 1.25;
+constexpr double kCmdDecrease = 0.8;
+constexpr double kCmdMinMultiplier = 0.2;
+constexpr double kCmdMaxMultiplier = 6.0;
+
 /// Cost-model internals per rebuild, all deterministic: the chosen
 /// prediction horizon m, the unit stripe half-width s^u (via the chosen
 /// radius), and the expected message costs E_m / E_p the optimizer settled
@@ -132,7 +146,7 @@ SafeRegionShape StaticPolygonPolicy::BuildRegion(
   }
 
   for (int iter = 0;; ++iter) {
-    ConvexPolygon poly = ConvexPolygon::Square(location, options_.extent_cap);
+    ConvexPolygon poly = ConvexPolygon::Square(location, kStaticExtentCap);
     for (size_t i = 0; i < friends.size(); ++i) {
       poly = poly.ClippedBy(
           {location + directions[i] * offsets[i], directions[i]});
@@ -149,7 +163,7 @@ SafeRegionShape StaticPolygonPolicy::BuildRegion(
       }
     }
     if (!violated) return poly;
-    if (iter >= options_.max_shrink_iterations) break;
+    if (iter >= kStaticMaxShrinkIterations) break;
   }
   // Friends leave no polygonal room: a point region (the user reports again
   // next epoch, which is the correct behavior when squeezed).
@@ -170,7 +184,7 @@ SafeRegionShape MobileCirclePolicy::BuildRegion(
     const auto it = multiplier_.find(u);
     if (it != multiplier_.end()) multiplier = it->second;
   }
-  double radius = options_.base_radius * multiplier;
+  double radius = kMobileBaseRadius * multiplier;
   for (const FriendView& f : friends) {
     const double d = ShapeDistanceToPoint(f.region(), location, epoch);
     radius = std::min(radius, std::max(0.0, d - f.alert_radius));
@@ -186,13 +200,13 @@ SafeRegionShape MobileCirclePolicy::BuildRegion(
 void MobileCirclePolicy::OnExit(UserId u) {
   if (!options_.self_tuning) return;
   double& m = multiplier_.try_emplace(u, 1.0).first->second;
-  m = std::min(m * options_.increase, options_.max_multiplier);
+  m = std::min(m * kCmdIncrease, kCmdMaxMultiplier);
 }
 
 void MobileCirclePolicy::OnProbe(UserId u) {
   if (!options_.self_tuning) return;
   double& m = multiplier_.try_emplace(u, 1.0).first->second;
-  m = std::max(m * options_.decrease, options_.min_multiplier);
+  m = std::max(m * kCmdDecrease, kCmdMinMultiplier);
 }
 
 StripePolicy::StripePolicy(std::unique_ptr<Predictor> predictor)

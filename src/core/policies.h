@@ -18,43 +18,23 @@ namespace proxdet {
 /// shape in the taxonomy.
 class StaticPolygonPolicy : public RegionPolicy {
  public:
-  struct Options {
-    /// Half-extent of the bounding square before friend clipping; caps
-    /// region size when no friend is nearby.
-    double extent_cap = 3000.0;  // meters
-    /// Verify-and-shrink iterations against non-circular friend regions.
-    int max_shrink_iterations = 6;
-  };
-
-  StaticPolygonPolicy() : StaticPolygonPolicy(Options()) {}
-  explicit StaticPolygonPolicy(Options options) : options_(options) {}
-
   std::string name() const override { return "Static"; }
   SafeRegionShape BuildRegion(UserId u, const Vec2& location,
                               const std::vector<Vec2>& recent_window,
                               double speed,
                               const std::vector<FriendView>& friends,
                               int epoch) override;
-
- private:
-  Options options_;
 };
 
 /// FMD / CMD [19]: a circle moving with the user's velocity at build time.
-/// FMD uses a fixed base radius; CMD (self_tuning) adapts a per-user
+/// FMD uses a fixed system-wide base radius ([19] assigns every user the
+/// same mobile-region size); CMD (self_tuning) scales it by a per-user
 /// multiplier — exits mean the region was too small, probes mean it was
 /// too large. Requires the per-epoch pair check (regions drift).
 class MobileCirclePolicy : public RegionPolicy {
  public:
   struct Options {
     bool self_tuning = false;  // false = FMD, true = CMD.
-    /// FMD's fixed system-wide base radius in meters ([19] assigns every
-    /// user the same mobile-region size; only CMD adapts it per user).
-    double base_radius = 500.0;
-    double increase = 1.25;  // CMD multiplier on exit (too small).
-    double decrease = 0.8;   // CMD multiplier on probe (too large).
-    double min_multiplier = 0.2;
-    double max_multiplier = 6.0;
   };
 
   MobileCirclePolicy() : MobileCirclePolicy(Options()) {}

@@ -726,16 +726,13 @@ struct RegionDetector::Impl {
   }
 
   /// Pass 1's probe rule: an unreported friend `w` is probed when its
-  /// region leaves the rebuilding user (at `l_u`, speed `v_u`) no more than
-  /// kMinGap plus the kinetic closing distance beyond the alert radius.
-  bool ProbeWanted(const Vec2& l_u, double v_u, UserId w, double r) const {
-    // gap <= kMinGap + closing, phrased so the AABB lower bound can settle
-    // the comparison without exact point-to-shape geometry.
-    const double closing =
-        self.options_.probe_horizon_epochs * (v_u + users[w].speed);
+  /// region leaves the rebuilding user (at `l_u`) no more than kMinGap
+  /// beyond the alert radius.
+  bool ProbeWanted(const Vec2& l_u, UserId w, double r) const {
+    // gap <= kMinGap, phrased so the AABB lower bound can settle the
+    // comparison without exact point-to-shape geometry.
     return ShapeDistanceToPointBelow(*users[w].region, l_u, epoch,
-                                     r + kMinGap + closing,
-                                     /*inclusive=*/true);
+                                     r + kMinGap, /*inclusive=*/true);
   }
 
   /// Pass 1's match rule for a reported (exact) friend.
@@ -783,7 +780,7 @@ struct RegionDetector::Impl {
       bool reported_w = reported(w);
       bool needs_w = needs_region(w);
       double speed_w = users[w].speed;
-      if (!reported_w && ProbeWanted(l_u, v_u, w, fe.alert_radius)) {
+      if (!reported_w && ProbeWanted(l_u, w, fe.alert_radius)) {
         world.RecentWindow(w, epoch, kWindow, &slot->window);
         speed_w = WindowSpeed(slot->window, speed_w);
         reported_w = needs_w = true;
@@ -877,7 +874,7 @@ struct RegionDetector::Impl {
       for (const FriendEdge& fe : graph.FriendsOf(u)) {
         const UserId w = fe.other;
         if (IsMatched(u, w)) continue;
-        if (!reported(w) && ProbeWanted(l_u, v_u, w, fe.alert_radius)) {
+        if (!reported(w) && ProbeWanted(l_u, w, fe.alert_radius)) {
           Probe(w);
         }
         if (reported(w) && WithinAlertRadius(l_u, w, fe.alert_radius)) {

@@ -125,13 +125,6 @@ class RegionPolicy {
 class RegionDetector : public Detector {
  public:
   struct Options {
-    /// Kinetic probe threshold (Sec. V-B case 2): also probe when the pair
-    /// could close the remaining slack within this many epochs at their
-    /// estimated speeds. A stale friend region that leaves the rebuilder
-    /// only a sliver would force a useless micro-region that dies next
-    /// epoch; one probe instead frees the space and both sides get an
-    /// Eq. (5)-style split of the true slack.
-    double probe_horizon_epochs = 0.0;
     /// When true, every rebuilt region is checked against the soundness
     /// contract (it contains the user and clears every friend constraint),
     /// and the incremental edge snapshot against a from-scratch

@@ -7,7 +7,6 @@
 
 #include "geom/anchor_grid.h"
 #include "geom/simd/simd.h"
-#include "region/region_batch.h"
 
 namespace proxdet {
 
@@ -170,11 +169,8 @@ void StageConstraints(const std::vector<StripeFriendConstraint>& friends,
 struct BuildScratch {
   StagedConstraints staged;
   std::vector<Vec2> predicted;
-  std::vector<FriendGap> gaps, exact_gaps;
+  std::vector<FriendGap> gaps;
   std::vector<Vec2> anchors;
-  // Per staged stripe range: point distance at the current anchor, reused
-  // by the Eq. (8) accumulation.
-  std::vector<double> seg_ptnext;
 };
 
 BuildScratch& Scratch() {
@@ -205,9 +201,9 @@ StripeBuildResult BuildPredictiveStripe(
   StagedConstraints& staged = scratch.staged;
   StageConstraints(friends, epoch, staged);
 
-  // One point against every staged point-like friend: the exact lane
-  // expression of CircleDistanceToPoints (== DistancePointToCircle, and ==
-  // the degenerate single-anchor stripe distance, bit for bit).
+  // One point against every staged point-like friend: DistancePointToCircle's
+  // expression (== the degenerate single-anchor stripe distance, bit for
+  // bit).
   const auto point_friend_distance = [&staged](size_t k, double px,
                                                double py) {
     const double dx = px - staged.ptx[k];
@@ -272,13 +268,6 @@ StripeBuildResult BuildPredictiveStripe(
   size_t solves = 1;
   size_t exact_evaluations = best.solution.exact_evaluations;
 
-  // When the Eq. (8) approximation drives the optimization, exact prefix
-  // minima are still tracked so the chosen radius can be clamped to the
-  // sound bound.
-  std::vector<FriendGap>& exact_gaps = scratch.exact_gaps;
-  exact_gaps.assign(gaps.begin(), gaps.end());
-  std::vector<double>& seg_ptnext = scratch.seg_ptnext;
-  seg_ptnext.assign(staged.ranges.size(), 0.0);
   Vec2 prev_anchor = current_q;
   std::vector<Vec2>& anchors = scratch.anchors;
   anchors.assign(1, current_q);
@@ -292,8 +281,7 @@ StripeBuildResult BuildPredictiveStripe(
     // the first violating point ends the scan — the same bound the upfront
     // per-friend sweep produces (it is the min over friends of the first
     // violating index), but points past the loop's own stopping step are
-    // never evaluated. The stripe point distances computed here double as
-    // the Eq. (8) values.
+    // never evaluated.
     bool violated = false;
     for (size_t k = 0; k < staged.pt_friend.size() && !violated; ++k) {
       violated = point_friend_distance(k, next_anchor.x, next_anchor.y) <=
@@ -304,12 +292,11 @@ StripeBuildResult BuildPredictiveStripe(
       simd::SegmentsSquaredDistanceToPoint(staged.view(), next_anchor.x,
                                            next_anchor.y,
                                            staged.pdtp_sq.data());
-      for (size_t ri = 0; ri < staged.ranges.size(); ++ri) {
+      for (size_t ri = 0; ri < staged.ranges.size() && !violated; ++ri) {
         const StagedConstraints::Range& r = staged.ranges[ri];
         const double d =
             std::max(0.0, std::sqrt(range_min(staged.pdtp_sq, r)) - r.radius);
-        seg_ptnext[ri] = d;
-        violated = violated || d <= friends[r.friend_index].alert_radius;
+        violated = d <= friends[r.friend_index].alert_radius;
       }
     }
     for (size_t ci : staged.cold) {
@@ -334,7 +321,7 @@ StripeBuildResult BuildPredictiveStripe(
       for (size_t k = 0; k < staged.pt_friend.size(); ++k) {
         const double exact_d =
             std::max(0.0, std::sqrt(staged.pt_sq[k]) - staged.ptr[k]);
-        FriendGap& g = exact_gaps[staged.pt_friend[k]];
+        FriendGap& g = gaps[staged.pt_friend[k]];
         g.y0 = std::min(g.y0, exact_d);
       }
     }
@@ -350,56 +337,24 @@ StripeBuildResult BuildPredictiveStripe(
       for (const StagedConstraints::Range& r : staged.ranges) {
         const double exact_d =
             std::max(0.0, std::sqrt(range_min(staged.seg_sq, r)) - r.radius);
-        FriendGap& g = exact_gaps[r.friend_index];
+        FriendGap& g = gaps[r.friend_index];
         g.y0 = std::min(g.y0, exact_d);
       }
     }
     for (size_t i : staged.cold) {
       const double exact_d =
           SegmentToShape(prev_anchor, next_anchor, *friends[i].region, epoch);
-      exact_gaps[i].y0 = std::min(exact_gaps[i].y0, exact_d);
-    }
-    if (config.use_eq8_distance) {
-      // Eq. (8) anchor-point distances. Point-like friends reduce to
-      // DistancePointToCircle's expression (which the degenerate
-      // single-anchor stripe also computes, bit for bit); stripe friends
-      // reuse the prune scan's values.
-      for (size_t k = 0; k < staged.pt_friend.size(); ++k) {
-        const double val =
-            point_friend_distance(k, next_anchor.x, next_anchor.y);
-        FriendGap& g = gaps[staged.pt_friend[k]];
-        g.y0 = std::min(g.y0, val);
-      }
-      for (size_t ri = 0; ri < staged.ranges.size(); ++ri) {
-        FriendGap& g = gaps[staged.ranges[ri].friend_index];
-        g.y0 = std::min(g.y0, seg_ptnext[ri]);
-      }
-      for (size_t i : staged.cold) {
-        gaps[i].y0 = std::min(
-            gaps[i].y0,
-            ShapeDistanceToPoint(*friends[i].region, next_anchor, epoch));
-      }
-    } else {
-      for (size_t i = 0; i < friends.size(); ++i) {
-        gaps[i].y0 = exact_gaps[i].y0;
-      }
+      gaps[i].y0 = std::min(gaps[i].y0, exact_d);
     }
     anchors.push_back(next_anchor);
     prev_anchor = next_anchor;
 
-    if (RadiusUpperBound(exact_gaps) <= 0.0) break;  // No sound radius left.
-    const double sigma_m = config.SigmaForStep(m);
-    RadiusSolution sol = SolveStripeRadius(
-        gaps, m, sigma_m, user_speed, radius_cap_for(m), config.epsilon);
+    if (RadiusUpperBound(gaps) <= 0.0) break;  // No sound radius left.
+    const RadiusSolution sol =
+        SolveStripeRadius(gaps, m, config.SigmaForStep(m), user_speed,
+                          radius_cap_for(m), config.epsilon);
     ++solves;
     exact_evaluations += sol.exact_evaluations;
-    if (config.use_eq8_distance) {
-      // Clamped after the solve: the stay fields follow the clamped radius
-      // (e_m and e_p keep the unclamped evaluation's values).
-      sol.radius = std::min(sol.radius, RadiusUpperBound(exact_gaps));
-      sol.stay = StayProbability(sol.radius, sigma_m);
-      sol.stay_pow = std::pow(sol.stay, m);
-    }
     if (sol.Objective() > best.solution.Objective()) {
       best.solution = sol;
       best.m = m;

@@ -61,11 +61,6 @@ struct StripeBuildConfig {
   /// entering E_p are scaled by this factor (a few percent of total I/O at
   /// default density; see bench/ablation_cost_model).
   double approach_factor = 0.08;
-  /// Ablation switch: estimate stripe-to-friend clearances with the paper's
-  /// Eq. (8) anchor-point approximation instead of exact segment distances.
-  /// The approximation can only overestimate clearance, so the final radius
-  /// is still clamped against the exact bound (safety is never traded).
-  bool use_eq8_distance = false;
 };
 
 struct StripeBuildResult {

@@ -87,7 +87,6 @@ bool VerifyTable(const KernelTable& t) {
   SegBatch segs;
   segs.Fill(rng);
   double px[kN], py[kN], qx[kN], qy[kN], r1[kN], r2[kN], thr[kN];
-  double lox[kN], loy[kN], hix[kN], hiy[kN];
   for (size_t i = 0; i < kN; ++i) {
     px[i] = rng.Coord();
     py[i] = rng.Coord();
@@ -96,17 +95,7 @@ bool VerifyTable(const KernelTable& t) {
     r1[i] = rng.Radius();
     r2[i] = rng.Radius();
     thr[i] = rng.Radius();
-    const double cx = rng.Coord(), cy = rng.Coord();
-    lox[i] = cx - rng.Radius();
-    hix[i] = cx + rng.Radius();
-    loy[i] = cy - rng.Radius();
-    hiy[i] = cy + rng.Radius();
   }
-  // Nudge some points onto box edges / degenerate boxes so the closed
-  // comparisons are exercised on exact boundaries.
-  px[3] = lox[3];
-  py[7] = hiy[7];
-  lox[11] = hix[11] = px[11];
 
   double got_d[kN], want_d[kN];
   uint8_t got_m[kN], want_m[kN];
@@ -114,10 +103,6 @@ bool VerifyTable(const KernelTable& t) {
   // Every batch kernel runs at a tail-heavy size (kN) and a sub-width size
   // (3) so the pure-tail path of both vector backends is also verified.
   for (size_t n : {kN, size_t{3}}) {
-    t.points_in_boxes(px, py, lox, loy, hix, hiy, n, got_m);
-    ref.points_in_boxes(px, py, lox, loy, hix, hiy, n, want_m);
-    if (!BitEq8(got_m, want_m, n)) return false;
-
     for (size_t s : {size_t{0}, size_t{4}}) {  // Regular + degenerate segment.
       t.segment_sqdist_to_points(segs.ax[s], segs.ay[s], segs.dx[s],
                                  segs.dy[s], segs.len2[s], px, py, n, got_d);
@@ -128,10 +113,6 @@ bool VerifyTable(const KernelTable& t) {
     }
 
     const SegmentSoA view = segs.View(n);
-    t.polyline_sqdist_to_points(view, px, py, kN, got_d);
-    ref.polyline_sqdist_to_points(view, px, py, kN, want_d);
-    if (!BitEq(got_d, want_d, kN)) return false;
-
     for (size_t i = 0; i < kN; ++i) {
       const double got = t.polyline_sqdist_to_point(view, px[i], py[i]);
       const double want = ref.polyline_sqdist_to_point(view, px[i], py[i]);
@@ -158,19 +139,11 @@ bool VerifyTable(const KernelTable& t) {
     ref.pairs_within_radii(px, py, qx, qy, r1, n, want_m);
     if (!BitEq8(got_m, want_m, n)) return false;
 
-    t.point_within_radius_of_points(px[0], py[0], qx, qy, r1, n, got_m);
-    ref.point_within_radius_of_points(px[0], py[0], qx, qy, r1, n, want_m);
-    if (!BitEq8(got_m, want_m, n)) return false;
-
     for (bool strict : {false, true}) {
       t.circles_contain_points(qx, qy, r1, px, py, n, strict, got_m);
       ref.circles_contain_points(qx, qy, r1, px, py, n, strict, want_m);
       if (!BitEq8(got_m, want_m, n)) return false;
     }
-
-    t.circle_dist_to_points(qx[0], qy[0], r1[0], px, py, n, got_d);
-    ref.circle_dist_to_points(qx[0], qy[0], r1[0], px, py, n, want_d);
-    if (!BitEq(got_d, want_d, n)) return false;
 
     t.circle_pairs_gap_below(px, py, r1, qx, qy, r2, thr, n, got_m);
     ref.circle_pairs_gap_below(px, py, r1, qx, qy, r2, thr, n, want_m);
@@ -305,22 +278,11 @@ bool SetActiveBackendForTest(Backend b) {
   return true;
 }
 
-void PointsInBoxes(const double* px, const double* py, const double* lox,
-                   const double* loy, const double* hix, const double* hiy,
-                   size_t n, uint8_t* inside) {
-  GetDispatch().table->points_in_boxes(px, py, lox, loy, hix, hiy, n, inside);
-}
-
 void SegmentSquaredDistanceToPoints(double ax, double ay, double dx,
                                     double dy, double len2, const double* px,
                                     const double* py, size_t n, double* out) {
   GetDispatch().table->segment_sqdist_to_points(ax, ay, dx, dy, len2, px, py,
                                                 n, out);
-}
-
-void PolylineSquaredDistanceToPoints(const SegmentSoA& segs, const double* px,
-                                     const double* py, size_t n, double* out) {
-  GetDispatch().table->polyline_sqdist_to_points(segs, px, py, n, out);
 }
 
 double PolylineSquaredDistanceToPoint(const SegmentSoA& segs, double px,
@@ -352,24 +314,12 @@ void PairsWithinRadii(const double* ax, const double* ay, const double* bx,
   GetDispatch().table->pairs_within_radii(ax, ay, bx, by, r, n, within);
 }
 
-void PointWithinRadiusOfPoints(double ux, double uy, const double* wx,
-                               const double* wy, const double* r, size_t n,
-                               uint8_t* within) {
-  GetDispatch().table->point_within_radius_of_points(ux, uy, wx, wy, r, n,
-                                                     within);
-}
-
 void CirclesContainPoints(const double* cx, const double* cy,
                           const double* cr, const double* px,
                           const double* py, size_t n, bool strict,
                           uint8_t* inside) {
   GetDispatch().table->circles_contain_points(cx, cy, cr, px, py, n, strict,
                                               inside);
-}
-
-void CircleDistanceToPoints(double cx, double cy, double cr, const double* px,
-                            const double* py, size_t n, double* out) {
-  GetDispatch().table->circle_dist_to_points(cx, cy, cr, px, py, n, out);
 }
 
 void CirclePairsGapBelow(const double* ax, const double* ay, const double* ar,

@@ -13,14 +13,9 @@ namespace internal {
 /// the runtime-verified fallback trivial: verification failure just leaves
 /// the scalar table installed.
 struct KernelTable {
-  void (*points_in_boxes)(const double*, const double*, const double*,
-                          const double*, const double*, const double*, size_t,
-                          uint8_t*);
   void (*segment_sqdist_to_points)(double, double, double, double, double,
                                    const double*, const double*, size_t,
                                    double*);
-  void (*polyline_sqdist_to_points)(const SegmentSoA&, const double*,
-                                    const double*, size_t, double*);
   double (*polyline_sqdist_to_point)(const SegmentSoA&, double, double);
   void (*segments_sqdist_to_point)(const SegmentSoA&, double, double,
                                    double*);
@@ -30,14 +25,9 @@ struct KernelTable {
                                       const SegmentSoA&, double*);
   void (*pairs_within_radii)(const double*, const double*, const double*,
                              const double*, const double*, size_t, uint8_t*);
-  void (*point_within_radius_of_points)(double, double, const double*,
-                                        const double*, const double*, size_t,
-                                        uint8_t*);
   void (*circles_contain_points)(const double*, const double*, const double*,
                                  const double*, const double*, size_t, bool,
                                  uint8_t*);
-  void (*circle_dist_to_points)(double, double, double, const double*,
-                                const double*, size_t, double*);
   void (*circle_pairs_gap_below)(const double*, const double*, const double*,
                                  const double*, const double*, const double*,
                                  const double*, size_t, uint8_t*);

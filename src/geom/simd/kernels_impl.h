@@ -50,7 +50,6 @@ struct Kernels {
   static VL Lt(VD a, VD b) { return (VL)(a < b); }
   static VL Le(VD a, VD b) { return (VL)(a <= b); }
   static VL Gt(VD a, VD b) { return (VL)(a > b); }
-  static VL Ge(VD a, VD b) { return (VL)(a >= b); }
   /// Per-lane `m ? a : b` on fully-computed values (bitwise blend).
   static VD Select(VL m, VD a, VD b) {
     return (VD)((m & (VL)a) | (~m & (VL)b));
@@ -138,24 +137,6 @@ struct Kernels {
 
   // ---- kernels -------------------------------------------------------------
 
-  static void PointsInBoxes(const double* px, const double* py,
-                            const double* lox, const double* loy,
-                            const double* hix, const double* hiy, size_t n,
-                            uint8_t* inside) {
-    size_t i = 0;
-    for (; i + W <= n; i += W) {
-      const VD x = Load(px + i);
-      const VD y = Load(py + i);
-      const VL m = Ge(x, Load(lox + i)) & Le(x, Load(hix + i)) &
-                   Ge(y, Load(loy + i)) & Le(y, Load(hiy + i));
-      StoreMask(inside + i, m);
-    }
-    if (i < n) {
-      scalar::PointsInBoxes(px + i, py + i, lox + i, loy + i, hix + i,
-                            hiy + i, n - i, inside + i);
-    }
-  }
-
   static void SegmentSquaredDistanceToPoints(double ax, double ay, double dx,
                                              double dy, double len2,
                                              const double* px,
@@ -169,29 +150,6 @@ struct Kernels {
     if (i < n) {
       scalar::SegmentSquaredDistanceToPoints(ax, ay, dx, dy, len2, px + i,
                                              py + i, n - i, out + i);
-    }
-  }
-
-  static void PolylineSquaredDistanceToPoints(const SegmentSoA& segs,
-                                              const double* px,
-                                              const double* py, size_t n,
-                                              double* out) {
-    size_t i = 0;
-    for (; i + W <= n; i += W) {
-      const VD x = Load(px + i);
-      const VD y = Load(py + i);
-      VD best = Splat(std::numeric_limits<double>::infinity());
-      for (size_t j = 0; j < segs.n; ++j) {
-        const VD d = SqDistPointSegUniformSeg(x, y, segs.ax[j], segs.ay[j],
-                                              segs.dx[j], segs.dy[j],
-                                              segs.len2[j]);
-        best = Select(Lt(d, best), d, best);
-      }
-      Store(out + i, best);
-    }
-    if (i < n) {
-      scalar::PolylineSquaredDistanceToPoints(segs, px + i, py + i, n - i,
-                                              out + i);
     }
   }
 
@@ -369,24 +327,6 @@ struct Kernels {
     }
   }
 
-  static void PointWithinRadiusOfPoints(double ux, double uy,
-                                        const double* wx, const double* wy,
-                                        const double* r, size_t n,
-                                        uint8_t* within) {
-    const VD vux = Splat(ux);
-    const VD vuy = Splat(uy);
-    size_t i = 0;
-    for (; i + W <= n; i += W) {
-      const VD dx = vux - Load(wx + i);
-      const VD dy = vuy - Load(wy + i);
-      StoreMask(within + i, Lt(Sqrt(dx * dx + dy * dy), Load(r + i)));
-    }
-    if (i < n) {
-      scalar::PointWithinRadiusOfPoints(ux, uy, wx + i, wy + i, r + i, n - i,
-                                        within + i);
-    }
-  }
-
   static void CirclesContainPoints(const double* cx, const double* cy,
                                    const double* cr, const double* px,
                                    const double* py, size_t n, bool strict,
@@ -403,26 +343,6 @@ struct Kernels {
     if (i < n) {
       scalar::CirclesContainPoints(cx + i, cy + i, cr + i, px + i, py + i,
                                    n - i, strict, inside + i);
-    }
-  }
-
-  static void CircleDistanceToPoints(double cx, double cy, double cr,
-                                     const double* px, const double* py,
-                                     size_t n, double* out) {
-    const VD vcx = Splat(cx);
-    const VD vcy = Splat(cy);
-    const VD vcr = Splat(cr);
-    const VD zero = Splat(0.0);
-    size_t i = 0;
-    for (; i + W <= n; i += W) {
-      const VD dx = Load(px + i) - vcx;
-      const VD dy = Load(py + i) - vcy;
-      const VD v = Sqrt(dx * dx + dy * dy) - vcr;
-      Store(out + i, Select(Lt(zero, v), v, zero));
-    }
-    if (i < n) {
-      scalar::CircleDistanceToPoints(cx, cy, cr, px + i, py + i, n - i,
-                                     out + i);
     }
   }
 

@@ -113,16 +113,6 @@ inline void Mul4(const double* a, const double* b, double* out) {
 
 }  // namespace
 
-void PointsInBoxes(const double* px, const double* py, const double* lox,
-                   const double* loy, const double* hix, const double* hiy,
-                   size_t n, uint8_t* inside) {
-  for (size_t i = 0; i < n; ++i) {
-    // BBox::Contains' comparison order: x bounds, then y bounds.
-    inside[i] = px[i] >= lox[i] && px[i] <= hix[i] && py[i] >= loy[i] &&
-                py[i] <= hiy[i];
-  }
-}
-
 void SegmentSquaredDistanceToPoints(double ax, double ay, double dx,
                                     double dy, double len2, const double* px,
                                     const double* py, size_t n, double* out) {
@@ -131,28 +121,15 @@ void SegmentSquaredDistanceToPoints(double ax, double ay, double dx,
   }
 }
 
-void PolylineSquaredDistanceToPoints(const SegmentSoA& segs, const double* px,
-                                     const double* py, size_t n, double* out) {
-  // Lane = point; per point the segment loop runs in index order exactly
-  // like Polyline::SquaredDistanceToPoint.
-  for (size_t i = 0; i < n; ++i) {
-    double best = std::numeric_limits<double>::infinity();
-    for (size_t j = 0; j < segs.n; ++j) {
-      const double d = SqDistPointSeg(px[i], py[i], segs.ax[j], segs.ay[j],
-                                      segs.dx[j], segs.dy[j], segs.len2[j]);
-      best = d < best ? d : best;  // std::min(best, d)
-    }
-    out[i] = best;
-  }
-}
-
 double PolylineSquaredDistanceToPoint(const SegmentSoA& segs, double px,
                                       double py) {
+  // The segment loop runs in index order exactly like
+  // Polyline::SquaredDistanceToPoint.
   double best = std::numeric_limits<double>::infinity();
   for (size_t j = 0; j < segs.n; ++j) {
     const double d = SqDistPointSeg(px, py, segs.ax[j], segs.ay[j],
                                     segs.dx[j], segs.dy[j], segs.len2[j]);
-    best = d < best ? d : best;
+    best = d < best ? d : best;  // std::min(best, d)
   }
   return best;
 }
@@ -210,16 +187,6 @@ void PairsWithinRadii(const double* ax, const double* ay, const double* bx,
   }
 }
 
-void PointWithinRadiusOfPoints(double ux, double uy, const double* wx,
-                               const double* wy, const double* r, size_t n,
-                               uint8_t* within) {
-  for (size_t i = 0; i < n; ++i) {
-    const double dx = ux - wx[i];
-    const double dy = uy - wy[i];
-    within[i] = std::sqrt(dx * dx + dy * dy) < r[i];
-  }
-}
-
 void CirclesContainPoints(const double* cx, const double* cy,
                           const double* cr, const double* px,
                           const double* py, size_t n, bool strict,
@@ -230,16 +197,6 @@ void CirclesContainPoints(const double* cx, const double* cy,
     const double d2 = dx * dx + dy * dy;
     const double r2 = cr[i] * cr[i];
     inside[i] = strict ? d2 < r2 : d2 <= r2;
-  }
-}
-
-void CircleDistanceToPoints(double cx, double cy, double cr, const double* px,
-                            const double* py, size_t n, double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const double dx = px[i] - cx;  // Distance(p, c.center): (p - center)
-    const double dy = py[i] - cy;
-    const double v = std::sqrt(dx * dx + dy * dy) - cr;
-    out[i] = 0.0 < v ? v : 0.0;  // std::max(0.0, v)
   }
 }
 
@@ -282,17 +239,13 @@ namespace internal {
 
 const KernelTable& ScalarTable() {
   static const KernelTable table{
-      &scalar::PointsInBoxes,
       &scalar::SegmentSquaredDistanceToPoints,
-      &scalar::PolylineSquaredDistanceToPoints,
       &scalar::PolylineSquaredDistanceToPoint,
       &scalar::SegmentsSquaredDistanceToPoint,
       &scalar::SegmentToPolylineSquaredDistance,
       &scalar::SegmentToSegmentsSquaredDistances,
       &scalar::PairsWithinRadii,
-      &scalar::PointWithinRadiusOfPoints,
       &scalar::CirclesContainPoints,
-      &scalar::CircleDistanceToPoints,
       &scalar::CirclePairsGapBelow,
       &scalar::KalmanPredict4,
   };

@@ -17,17 +17,13 @@ using K = Kernels<v4d, v4l, 4>;
 
 const KernelTable& W4Table() {
   static const KernelTable table{
-      &K::PointsInBoxes,
       &K::SegmentSquaredDistanceToPoints,
-      &K::PolylineSquaredDistanceToPoints,
       &K::PolylineSquaredDistanceToPoint,
       &K::SegmentsSquaredDistanceToPoint,
       &K::SegmentToPolylineSquaredDistance,
       &K::SegmentToSegmentsSquaredDistances,
       &K::PairsWithinRadii,
-      &K::PointWithinRadiusOfPoints,
       &K::CirclesContainPoints,
-      &K::CircleDistanceToPoints,
       &K::CirclePairsGapBelow,
       &K::KalmanPredict4,
   };

@@ -17,17 +17,13 @@ using K = Kernels<v8d, v8l, 8>;
 
 const KernelTable& W8Table() {
   static const KernelTable table{
-      &K::PointsInBoxes,
       &K::SegmentSquaredDistanceToPoints,
-      &K::PolylineSquaredDistanceToPoints,
       &K::PolylineSquaredDistanceToPoint,
       &K::SegmentsSquaredDistanceToPoint,
       &K::SegmentToPolylineSquaredDistance,
       &K::SegmentToSegmentsSquaredDistances,
       &K::PairsWithinRadii,
-      &K::PointWithinRadiusOfPoints,
       &K::CirclesContainPoints,
-      &K::CircleDistanceToPoints,
       &K::CirclePairsGapBelow,
       &K::KalmanPredict4,
   };

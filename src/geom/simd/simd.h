@@ -73,25 +73,15 @@ bool SetActiveBackendForTest(Backend b);
 // uint8_t outputs are exactly 0 or 1.
 // ---------------------------------------------------------------------------
 
-/// Lane i: closed containment of (px[i], py[i]) in the box
-/// [lox[i], hix[i]] x [loy[i], hiy[i]] — BBox::Contains' comparison order.
-void PointsInBoxes(const double* px, const double* py, const double* lox,
-                   const double* loy, const double* hix, const double* hiy,
-                   size_t n, uint8_t* inside);
-
 /// Lane i: SquaredDistancePointToSegment((px[i], py[i]), segment), with the
 /// segment given in precomputed form (a, d = b - a, len2 = |d|^2).
 void SegmentSquaredDistanceToPoints(double ax, double ay, double dx,
                                     double dy, double len2, const double* px,
                                     const double* py, size_t n, double* out);
 
-/// Lane i: Polyline::SquaredDistanceToPoint((px[i], py[i])) over the SoA
-/// segments (+infinity when segs.n == 0, matching the empty polyline).
-void PolylineSquaredDistanceToPoints(const SegmentSoA& segs, const double* px,
-                                     const double* py, size_t n, double* out);
-
 /// One point against the whole polyline, vectorized across segments
-/// (lane = segment, min-reduced). Same value conventions as above.
+/// (lane = segment, min-reduced): Polyline::SquaredDistanceToPoint over the
+/// SoA segments (+infinity when segs.n == 0, matching the empty polyline).
 double PolylineSquaredDistanceToPoint(const SegmentSoA& segs, double px,
                                       double py);
 
@@ -128,22 +118,12 @@ void PairsWithinRadii(const double* ax, const double* ay, const double* bx,
                       const double* by, const double* r, size_t n,
                       uint8_t* within);
 
-/// Lane i: Distance((ux, uy), (wx[i], wy[i])) < r[i] — one user against a
-/// staged candidate batch.
-void PointWithinRadiusOfPoints(double ux, double uy, const double* wx,
-                               const double* wy, const double* r, size_t n,
-                               uint8_t* within);
-
 /// Lane i: containment of (px[i], py[i]) in circle i (strict uses
 /// Circle::ContainsStrict's d^2 < r^2, else Contains' d^2 <= r^2).
 void CirclesContainPoints(const double* cx, const double* cy,
                           const double* cr, const double* px,
                           const double* py, size_t n, bool strict,
                           uint8_t* inside);
-
-/// Lane i: DistancePointToCircle((px[i], py[i]), circle) — max(0, d - r).
-void CircleDistanceToPoints(double cx, double cy, double cr, const double* px,
-                            const double* py, size_t n, double* out);
 
 /// Lane i: DistanceCircleToCircle(circle a_i, circle b_i) < thr[i]
 /// (strict — the per-epoch pair check's ShapeMinDistanceBelow form).
@@ -166,14 +146,9 @@ void KalmanPredict4(const double f[16], const double q[16], double state[4],
 // against bitwise).
 // ---------------------------------------------------------------------------
 namespace scalar {
-void PointsInBoxes(const double* px, const double* py, const double* lox,
-                   const double* loy, const double* hix, const double* hiy,
-                   size_t n, uint8_t* inside);
 void SegmentSquaredDistanceToPoints(double ax, double ay, double dx,
                                     double dy, double len2, const double* px,
                                     const double* py, size_t n, double* out);
-void PolylineSquaredDistanceToPoints(const SegmentSoA& segs, const double* px,
-                                     const double* py, size_t n, double* out);
 double PolylineSquaredDistanceToPoint(const SegmentSoA& segs, double px,
                                       double py);
 void SegmentsSquaredDistanceToPoint(const SegmentSoA& segs, double px,
@@ -186,15 +161,10 @@ void SegmentToSegmentsSquaredDistances(double qax, double qay, double qbx,
 void PairsWithinRadii(const double* ax, const double* ay, const double* bx,
                       const double* by, const double* r, size_t n,
                       uint8_t* within);
-void PointWithinRadiusOfPoints(double ux, double uy, const double* wx,
-                               const double* wy, const double* r, size_t n,
-                               uint8_t* within);
 void CirclesContainPoints(const double* cx, const double* cy,
                           const double* cr, const double* px,
                           const double* py, size_t n, bool strict,
                           uint8_t* inside);
-void CircleDistanceToPoints(double cx, double cy, double cr, const double* px,
-                            const double* py, size_t n, double* out);
 void CirclePairsGapBelow(const double* ax, const double* ay, const double* ar,
                          const double* bx, const double* by, const double* br,
                          const double* thr, size_t n, uint8_t* below);

@@ -57,19 +57,25 @@ struct MetricsSnapshot {
   /// histogram bucket counts, quantile sketch buckets). Two runs with equal
   /// deterministic state produce byte-identical digests — the form the
   /// determinism tests compare, so a mismatch prints a readable diff.
+  /// Entries that hold nothing (zero counters, gauges whose bits are 0,
+  /// histograms and quantiles with no observation) are left out: Reset()
+  /// keeps registrations, so which of them exist depends on what else ran
+  /// in the process, not on the state being digested.
   std::string DeterministicDigest() const {
     std::string out;
     for (const auto& [name, entry] : counters) {
-      if (entry.first != Kind::kDeterministic) continue;
+      if (entry.first != Kind::kDeterministic || entry.second == 0) continue;
       out += "counter " + name + " = " + std::to_string(entry.second) + "\n";
     }
     for (const auto& [name, entry] : gauges) {
-      if (entry.first != Kind::kDeterministic) continue;
-      out += "gauge " + name + " = " +
-             std::to_string(std::bit_cast<uint64_t>(entry.second)) + "\n";
+      const uint64_t bits = std::bit_cast<uint64_t>(entry.second);
+      if (entry.first != Kind::kDeterministic || bits == 0) continue;
+      out += "gauge " + name + " = " + std::to_string(bits) + "\n";
     }
     for (const auto& [name, entry] : histograms) {
-      if (entry.kind != Kind::kDeterministic) continue;
+      if (entry.kind != Kind::kDeterministic || entry.value.count() == 0) {
+        continue;
+      }
       out += "histogram " + name + " =";
       for (const uint64_t c : entry.value.bucket_counts()) {
         out += " " + std::to_string(c);
@@ -78,7 +84,9 @@ struct MetricsSnapshot {
              std::to_string(std::bit_cast<uint64_t>(entry.value.sum())) + "\n";
     }
     for (const auto& [name, entry] : quantiles) {
-      if (entry.kind != Kind::kDeterministic) continue;
+      if (entry.kind != Kind::kDeterministic || entry.value.count() == 0) {
+        continue;
+      }
       out += "quantile " + name + " =";
       for (const auto& [index, c] : entry.value.buckets()) {
         out += " " + std::to_string(index) + ":" + std::to_string(c);

@@ -111,6 +111,18 @@ TEST(MobileCirclePolicyTest, CmdSelfTuning) {
   const auto shrunk = std::get<MovingCircle>(
       policy.BuildRegion(0, {0, 0}, window, 20.0, {}, 0));
   EXPECT_LT(shrunk.radius, grown.radius);
+  // The multiplier is held within [0.2, 6.0]: 20 exits (1.25 each) pin it
+  // at the top bound, 40 probes (0.8 each) at the bottom one.
+  for (int i = 0; i < 20; ++i) policy.OnExit(0);
+  EXPECT_EQ(std::get<MovingCircle>(
+                policy.BuildRegion(0, {0, 0}, window, 20.0, {}, 0))
+                .radius,
+            base.radius * 6.0);
+  for (int i = 0; i < 40; ++i) policy.OnProbe(0);
+  EXPECT_EQ(std::get<MovingCircle>(
+                policy.BuildRegion(0, {0, 0}, window, 20.0, {}, 0))
+                .radius,
+            base.radius * 0.2);
 }
 
 TEST(MobileCirclePolicyTest, FmdIgnoresTuningHooks) {

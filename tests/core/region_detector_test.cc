@@ -130,19 +130,17 @@ TEST(RegionDetectorTest, WithoutMatchRegionsLockstepPairPaysEveryEpoch) {
 
 TEST(RegionDetectorTest, ProbeFreesSpaceHoggedByStaleRegion) {
   // User 1 sits still with a (large) region; user 0 wanders near the
-  // radius boundary. Rebuilds of user 0 must at minimum stay sound; with a
-  // kinetic probe horizon, user 1 gets probed instead of user 0 churning.
+  // radius boundary. Rebuilds of user 0 must stay sound, and user 1 gets
+  // probed once its stale region leaves user 0 no slack.
   std::vector<Trajectory> trajs;
   trajs.push_back(LineFrom(0, 0, 10, 201));
   trajs.push_back(LineFrom(2500, 0, 0, 201));
   InterestGraph g(2);
   // r = 400: user 0 tops out at x=2000 (d=500), so the pair never matches,
-  // but it does cross the kinetic probe threshold on the way.
+  // but it does run out of slack against user 1's region on the way.
   g.AddEdge(0, 1, 400.0);
   const World world(std::move(trajs), std::move(g), 1, 200);
-  RegionDetector::Options options;
-  options.probe_horizon_epochs = 2.0;
-  auto detector = MakeStripeDetector(options);
+  auto detector = MakeStripeDetector();
   detector->Run(world);
   EXPECT_EQ(detector->SortedAlerts(), world.GroundTruthAlerts());
   EXPECT_GT(detector->stats().probes, 0u);

@@ -84,21 +84,6 @@ TEST(SimulationTest, MatchRegionAblationStaysExactAndCostsMore) {
   }
 }
 
-TEST(SimulationTest, Eq8AblationStaysExact) {
-  const Workload workload = BuildWorkload(TinyConfig(DatasetKind::kTruck));
-  auto predictor = MakeTrainedPredictor(PredictorKind::kKalman, workload);
-  StripePolicy::Options sopts =
-      CalibratedStripeOptions(predictor.get(), workload);
-  sopts.build.use_eq8_distance = true;
-  RegionDetector::Options options;
-  options.validate_builds = true;  // Eq. 8 must never break soundness.
-  RegionDetector detector(
-      std::make_unique<StripePolicy>(std::move(predictor), sopts), options);
-  detector.Run(workload.world);
-  EXPECT_EQ(detector.SortedAlerts(), workload.ground_truth);
-  EXPECT_EQ(0u, detector.validation_failures());
-}
-
 TEST(SimulationTest, DefaultExperimentConfigMatchesTable2Defaults) {
   const WorkloadConfig config =
       DefaultExperimentConfig(DatasetKind::kBeijingTaxi);

@@ -156,34 +156,6 @@ TEST(SimdDispatchTest, ForceVariablePinsBackendAtFirstUse) {
   ASSERT_TRUE(simd::SetActiveBackendForTest(before));
 }
 
-TEST(SimdKernelTest, PointsInBoxesBitwise) {
-  Rng rng(101);
-  ForEachBackend([&] {
-    for (const size_t n : kBatchSizes) {
-      PointBatch p(&rng, n);
-      std::vector<double> lox(n), loy(n), hix(n), hiy(n);
-      for (size_t i = 0; i < n; ++i) {
-        lox[i] = rng.Uniform(-500, 500);
-        loy[i] = rng.Uniform(-500, 500);
-        hix[i] = lox[i] + rng.Uniform(-1, 300);  // Sometimes inverted.
-        hiy[i] = loy[i] + rng.Uniform(-1, 300);
-      }
-      if (n > 2) {
-        // Exact-boundary lanes: point on the box edge.
-        p.x[1] = lox[1];
-        p.y[2] = hiy[2];
-      }
-      std::vector<uint8_t> got(n, 2), want(n, 3);
-      simd::PointsInBoxes(p.x.data(), p.y.data(), lox.data(), loy.data(),
-                          hix.data(), hiy.data(), n, got.data());
-      simd::scalar::PointsInBoxes(p.x.data(), p.y.data(), lox.data(),
-                                  loy.data(), hix.data(), hiy.data(), n,
-                                  want.data());
-      EXPECT_EQ(got, want) << "n=" << n;
-    }
-  });
-}
-
 TEST(SimdKernelTest, SegmentSquaredDistanceToPointsBitwise) {
   Rng rng(102);
   ForEachBackend([&] {
@@ -216,20 +188,13 @@ TEST(SimdKernelTest, PolylineSquaredDistanceBitwise) {
       const SegBatch segs(&rng, segs_n);
       for (const size_t n : kBatchSizes) {
         const PointBatch p(&rng, n);
-        std::vector<double> got(n, -1), want(n, -2);
-        simd::PolylineSquaredDistanceToPoints(segs.View(), p.x.data(),
-                                              p.y.data(), n, got.data());
-        simd::scalar::PolylineSquaredDistanceToPoints(
-            segs.View(), p.x.data(), p.y.data(), n, want.data());
         for (size_t i = 0; i < n; ++i) {
-          EXPECT_BITEQ(got[i], want[i])
-              << "segs=" << segs_n << " n=" << n << " lane=" << i;
-        }
-        // The transposed (lane = segment) kernel agrees too.
-        for (size_t i = 0; i < n; ++i) {
-          EXPECT_BITEQ(simd::PolylineSquaredDistanceToPoint(segs.View(),
-                                                            p.x[i], p.y[i]),
-                       want[i]);
+          EXPECT_BITEQ(
+              simd::PolylineSquaredDistanceToPoint(segs.View(), p.x[i],
+                                                   p.y[i]),
+              simd::scalar::PolylineSquaredDistanceToPoint(segs.View(),
+                                                           p.x[i], p.y[i]))
+              << "segs=" << segs_n << " n=" << n << " point=" << i;
         }
       }
     }
@@ -403,15 +368,6 @@ TEST(SimdKernelTest, PairPredicatesBitwise) {
                                      b.y.data(), r.data(), n, want.data());
       EXPECT_EQ(got, want) << "PairsWithinRadii n=" << n;
 
-      if (n > 0) {
-        simd::PointWithinRadiusOfPoints(a.x[0], a.y[0], b.x.data(),
-                                        b.y.data(), r.data(), n, got.data());
-        simd::scalar::PointWithinRadiusOfPoints(a.x[0], a.y[0], b.x.data(),
-                                                b.y.data(), r.data(), n,
-                                                want.data());
-        EXPECT_EQ(got, want) << "PointWithinRadiusOfPoints n=" << n;
-      }
-
       simd::CirclePairsGapBelow(a.x.data(), a.y.data(), ra.data(), b.x.data(),
                                 b.y.data(), rb.data(), thr.data(), n,
                                 got.data());
@@ -445,15 +401,6 @@ TEST(SimdKernelTest, CircleKernelsBitwise) {
                                            p.x.data(), p.y.data(), n, strict,
                                            want.data());
         EXPECT_EQ(got, want) << "strict=" << strict << " n=" << n;
-      }
-      if (n > 0) {
-        std::vector<double> got(n, -1), want(n, -2);
-        simd::CircleDistanceToPoints(c.x[0], c.y[0], cr[0], p.x.data(),
-                                     p.y.data(), n, got.data());
-        simd::scalar::CircleDistanceToPoints(c.x[0], c.y[0], cr[0],
-                                             p.x.data(), p.y.data(), n,
-                                             want.data());
-        for (size_t i = 0; i < n; ++i) EXPECT_BITEQ(got[i], want[i]);
       }
     }
   });

@@ -12,7 +12,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -114,26 +113,12 @@ std::string FormatRow(const GoldenRow& r) {
   return buf;
 }
 
-/// FNV-1a 64 over the digest lines that carry a value. Lines of metrics
-/// that stayed empty in this run (zero counters and gauges, histograms
-/// with no observation) are skipped: which names exist depends on what
-/// else ran in the process, not on this run.
+/// FNV-1a 64 over the digest.
 uint64_t DigestHash(const std::string& digest) {
   uint64_t h = 14695981039346656037ULL;
-  std::istringstream lines(digest);
-  std::string line;
-  while (std::getline(lines, line)) {
-    std::istringstream tokens(line.substr(line.find(" = ") + 3));
-    std::string token;
-    bool empty = true;
-    while (tokens >> token) {
-      if (token != "0" && token != "sum_bits") empty = false;
-    }
-    if (empty) continue;
-    for (const char c : line + "\n") {
-      h ^= static_cast<uint8_t>(c);
-      h *= 1099511628211ULL;
-    }
+  for (const char c : digest) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ULL;
   }
   return h;
 }

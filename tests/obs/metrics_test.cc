@@ -115,6 +115,19 @@ TEST(MetricsRegistryTest, DigestIsValueSensitive) {
   EXPECT_EQ(registry.Snapshot().DeterministicDigest(), one);
 }
 
+TEST(MetricsRegistryTest, DigestIgnoresEmptyRegistrations) {
+  // Reset() keeps registrations, so a metric another run registered must
+  // not change the digest while it holds nothing.
+  MetricsRegistry registry;
+  registry.GetCounter("d", Kind::kDeterministic).Inc(2);
+  const std::string before = registry.Snapshot().DeterministicDigest();
+  registry.GetCounter("empty.counter", Kind::kDeterministic);
+  registry.GetGauge("empty.gauge", Kind::kDeterministic);
+  registry.GetHistogram("empty.histogram", {1.0, 2.0}, Kind::kDeterministic);
+  registry.GetQuantile("empty.quantile", Kind::kDeterministic);
+  EXPECT_EQ(registry.Snapshot().DeterministicDigest(), before);
+}
+
 TEST(MetricsRegistryTest, PrometheusDumpFormat) {
   MetricsRegistry registry;
   registry.GetCounter("engine.reports").Inc(7);
