@@ -9,7 +9,7 @@
 # whose frontend is only driven from serial commit sections, the
 # pair-check suite whose edge scans fan out over the pool across thread
 # counts, the detectors end to end, whose Stripe methods build regions
-# speculatively on the pool while the engine state is frozen, and the
+# speculatively on the pool while the driver commits, and the
 # prediction models, whose Predict those builds call concurrently) under a
 # multi-thread global pool.
 # The parallel-scan/serial-commit pattern is only safe if the scans are

@@ -2,6 +2,11 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <thread>
+
+#include "geom/simd/simd.h"
+#include "obs/report.h"
 
 namespace proxdet {
 
@@ -14,6 +19,37 @@ std::string BenchJsonPath(const std::string& filename) {
     if (dir.back() != '/') dir.push_back('/');
   }
   return dir + filename;
+}
+
+namespace {
+
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    const size_t begin = colon == std::string::npos
+                             ? std::string::npos
+                             : line.find_first_not_of(' ', colon + 1);
+    if (begin != std::string::npos) return line.substr(begin);
+  }
+  return "unknown";
+}
+
+}  // namespace
+
+std::string MachineJson() {
+  const auto quoted = [](const std::string& v) {
+    return "\"" + obs::JsonEscape(v) + "\"";
+  };
+  std::string s = "{\"nproc\": ";
+  s += std::to_string(std::thread::hardware_concurrency());
+  s += ", \"cpu_model\": " + quoted(CpuModel());
+  s += ", \"simd_backend\": " +
+       quoted(simd::BackendName(simd::ActiveBackend()));
+  s += ", \"build_type\": " + quoted(PROXDET_BUILD_TYPE);
+  return s + "}";
 }
 
 }  // namespace proxdet

@@ -12,6 +12,11 @@ namespace proxdet {
 /// value is the target directory.
 std::string BenchJsonPath(const std::string& filename);
 
+/// The machine a benchmark ran on, as one JSON object for a BENCH file's
+/// "machine" block: online CPUs ("nproc"), the CPU model, the active SIMD
+/// kernel backend and the build type the library was compiled with.
+std::string MachineJson();
+
 }  // namespace proxdet
 
 #endif  // PROXDET_BENCH_SUPPORT_BENCH_JSON_H_

@@ -45,8 +45,10 @@ obs::RunReport MakeRunReport(const std::string& run_name,
   report.AddCount("comm_stats", "total_bytes", stats.TotalBytes());
   report.AddScalar("timing", "server_seconds", stats.server_seconds);
   obs::MetricsSnapshot snapshot = obs::Metrics().Snapshot();
-  // The speculative resolve's yield: builds made ahead of the commit and
-  // the share the commit took. Wall-clock-kinded, like the counters.
+  // The speculative resolve's yield: builds complete ahead of their
+  // commit and the share the commit took, the builds the resident helpers
+  // made, and the time the commit sat idle waiting for a helper's build.
+  // Wall-clock-kinded, like the counters.
   const uint64_t speculated =
       CounterOr0(snapshot, "engine.resolve.speculated");
   const uint64_t hits = CounterOr0(snapshot, "engine.resolve.speculation_hits");
@@ -56,6 +58,10 @@ obs::RunReport MakeRunReport(const std::string& run_name,
                    speculated == 0 ? 0.0
                                    : static_cast<double>(hits) /
                                          static_cast<double>(speculated));
+  report.AddCount("resolve", "helper_builds",
+                  CounterOr0(snapshot, "engine.resolve.helper_builds"));
+  report.AddCount("resolve", "commit_wait_ns",
+                  CounterOr0(snapshot, "engine.resolve.commit_wait_ns"));
   report.CaptureMetrics(std::move(snapshot));
   return report;
 }

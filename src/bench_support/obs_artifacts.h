@@ -13,9 +13,10 @@ namespace proxdet {
 /// Builds a RunReport for one finished run: the current global metrics
 /// snapshot plus the run's CommStats as a report section (deterministic
 /// message/byte fields under "comm_stats"; wall-clock server_seconds
-/// segregated under "timing", the speculative resolve's build counts and
-/// hit ratio under "resolve"). Pair with obs::Metrics().Reset() before the
-/// run so the snapshot covers exactly this run.
+/// segregated under "timing", the speculative resolve's build counts, hit
+/// ratio, helper builds and commit wait under "resolve"). Pair with
+/// obs::Metrics().Reset() before the run so the snapshot covers exactly
+/// this run.
 obs::RunReport MakeRunReport(const std::string& run_name,
                              const CommStats& stats);
 

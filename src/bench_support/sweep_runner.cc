@@ -1,13 +1,13 @@
 #include "bench_support/sweep_runner.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "bench_support/bench_json.h"
 #include "bench_support/obs_artifacts.h"
 #include "common/timer.h"
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 
 namespace proxdet {
 
@@ -111,37 +111,16 @@ Table SweepRunner::GroupTable(const std::string& title,
   return table;
 }
 
-namespace {
-
-/// Minimal JSON string escaping for our label vocabulary.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string SweepRunner::WriteJson() const {
-  const char* env = std::getenv("PROXDET_BENCH_JSON");
-  if (env != nullptr && std::strcmp(env, "0") == 0) return "";
-  std::string dir;
-  if (env != nullptr && std::strcmp(env, "1") != 0 && env[0] != '\0') {
-    dir = env;
-    if (dir.back() != '/') dir.push_back('/');
-  }
-  const std::string path = dir + "BENCH_" + figure_ + ".json";
+  const std::string path = BenchJsonPath("BENCH_" + figure_ + ".json");
+  if (path.empty()) return "";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
     return "";
   }
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"figure\": \"%s\",\n", JsonEscape(figure_).c_str());
+  std::fprintf(f, "  \"figure\": \"%s\",\n", obs::JsonEscape(figure_).c_str());
   std::fprintf(f, "  \"threads\": %u,\n", ThreadPool::Global().thread_count());
   std::fprintf(f, "  \"wall_seconds\": %.6f,\n", wall_seconds_);
   std::fprintf(f, "  \"cells\": [\n");
@@ -157,9 +136,10 @@ std::string SweepRunner::WriteJson() const {
           "\"alerts\": %llu, \"region_installs\": %llu, "
           "\"match_installs\": %llu, \"alert_count\": %zu, "
           "\"server_seconds\": %.6f}",
-          first ? "" : ",\n", JsonEscape(points_[p].group).c_str(),
-          JsonEscape(points_[p].x_value).c_str(),
-          JsonEscape(columns_[c].label).c_str(), points_[p].config.num_users,
+          first ? "" : ",\n", obs::JsonEscape(points_[p].group).c_str(),
+          obs::JsonEscape(points_[p].x_value).c_str(),
+          obs::JsonEscape(columns_[c].label).c_str(),
+          points_[p].config.num_users,
           points_[p].config.epochs,
           static_cast<unsigned long long>(points_[p].config.seed),
           static_cast<unsigned long long>(r.stats.TotalMessages()),

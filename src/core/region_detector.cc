@@ -1,9 +1,13 @@
 #include "core/region_detector.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <deque>
+#include <memory>
 #include <optional>
+#include <thread>
 #include <unordered_map>
 #include <variant>
 
@@ -85,19 +89,30 @@ struct SimdScanMetrics {
   }
 };
 
-/// The speculative resolve's waste counters: builds made ahead of the
-/// commit, and those the commit took. How many are made depends on the
-/// pool size (a 1-thread pool never speculates), so both are
+/// The speculative resolve's counters. How many builds run ahead, who
+/// makes them and how long the commit waits depend on the pool size and
+/// on scheduling (a 1-thread pool never speculates), so all four are
 /// wall-clock-kinded and stay out of the deterministic digest.
+///  - speculated: window builds that were complete when their commit came;
+///  - speculation_hits: those of them the commit took (the views matched);
+///  - helper_builds: builds the resident helpers made, taken or wasted;
+///  - commit_wait_ns: time the commit sat idle on a build a helper had
+///    claimed but not finished, with no unclaimed build left to make.
 struct SpeculationMetrics {
   obs::Counter& speculated;
   obs::Counter& hits;
+  obs::Counter& helper_builds;
+  obs::Counter& commit_wait_ns;
 
   static const SpeculationMetrics& Get() {
     static const SpeculationMetrics m{
         obs::Metrics().GetCounter("engine.resolve.speculated",
                                   obs::Kind::kWallClock),
         obs::Metrics().GetCounter("engine.resolve.speculation_hits",
+                                  obs::Kind::kWallClock),
+        obs::Metrics().GetCounter("engine.resolve.helper_builds",
+                                  obs::Kind::kWallClock),
+        obs::Metrics().GetCounter("engine.resolve.commit_wait_ns",
                                   obs::Kind::kWallClock),
     };
     return m;
@@ -116,9 +131,9 @@ constexpr double kMinGap = 1.0;  // meters
 constexpr size_t kWindow = 10;
 
 // Queued users per pool thread in one speculative resolve window
-// (DESIGN.md §15). A wider window spreads one fork-join over more builds;
-// its later members are likelier to have their views changed by an
-// earlier member's commit, which wastes their build.
+// (DESIGN.md §15). A wider window spreads one emulation barrier over more
+// builds; its later members are likelier to have their views changed by
+// an earlier member's commit, which wastes their build.
 constexpr size_t kSpeculationWindowPerThread = 16;
 
 // Chunk sizes for the parallel read-only scans. Coarse enough that the
@@ -279,23 +294,50 @@ struct RegionDetector::Impl {
   // regions installed for w: a borrowed view is unchanged since a
   // speculative build read it when its pointer and this count both match.
   std::vector<uint64_t> install_version;
+  // Progress of one window slot's build. A helper or the commit claims an
+  // unclaimed slot; the commit drops the slot of a miss nobody claimed.
+  enum SlotState : uint8_t { kUnclaimed, kBuilding, kBuilt, kDropped };
   // One queued user of the current window: the views its commit was
   // expected to collect, the install versions of their borrowed regions,
-  // its recent window and the build made against them. Written by one pool
-  // task each; read by the serial commit.
+  // the user's frozen position, speed and recent window, and the build made
+  // against them. Written while emulating and by the build's claimant; read
+  // by the serial commit once `state` says the build is complete.
   struct alignas(64) SpecSlot {
+    std::atomic<uint8_t> state{kUnclaimed};
     UserId user = -1;
+    Vec2 pos;
+    double speed = 0.0;
     bool built = false;  // False: the policy declined BuildConcurrent.
     std::vector<FriendView> views;
     std::vector<uint64_t> versions;  // install_version per view.
     std::vector<Vec2> window;  // Also scratch for probed friends' windows.
     ConcurrentBuild build;
   };
+  // Sized once to the window capacity (slots are not movable).
   std::vector<SpecSlot> spec_slots;
   size_t spec_size = 0;  // Members of the current window.
   size_t spec_next = 0;  // The next member the commit reaches.
   // More than one pool thread, and the policy has not declined.
   bool speculate;
+
+  // The rendezvous between the resolve phase's driver (the Run() thread)
+  // and its resident build helpers, one pool task per extra pool thread
+  // for the whole phase. Shared-owned: a helper the pool starts only after
+  // its phase ended (Run() itself inside a pool task) finds `done` and
+  // returns without touching the engine, which it reaches through `impl`
+  // only inside an open window.
+  struct BuildCrew {
+    Impl* impl = nullptr;
+    // 2g + 1 while window g is open, 2g + 2 once the driver closed it.
+    std::atomic<uint64_t> window{0};
+    std::atomic<unsigned> inside{0};  // Helpers working in the window.
+    std::atomic<bool> done{false};    // The phase ended.
+    std::atomic<size_t> next_emulate{0};
+    std::atomic<size_t> emulated{0};
+    std::atomic<size_t> next_build{0};
+  };
+  std::shared_ptr<BuildCrew> crew;  // The current phase's; null when serial.
+  uint64_t commit_wait_ns = 0;      // This phase's, flushed at its end.
 
   enum ExitFlag : uint8_t { kInside = 0, kExited = 1, kNeedsInit = 2 };
 
@@ -764,14 +806,17 @@ struct RegionDetector::Impl {
     return view;
   }
 
-  /// Read-only emulation of queued user u's pass 1 and pass 2 against the
+  /// Read-only emulation of the slot user u's pass 1 and pass 2 against the
   /// current state (it runs on the pool): the views u's commit collects if
   /// no earlier commit touches u's friends first. A friend pass 1 would
   /// probe reports — its speed refreshed by Report's rule — and queues a
   /// rebuild; one pass 1 would match drops out.
-  void EmulateViews(UserId u, SpecSlot* slot) const {
+  void EmulateViews(SpecSlot* slot) const {
+    const UserId u = slot->user;
     const Vec2& l_u = users[u].pos;
     const double v_u = users[u].speed;
+    slot->pos = l_u;
+    slot->speed = v_u;
     slot->views.clear();
     slot->versions.clear();
     for (const FriendEdge& fe : graph.FriendsOf(u)) {
@@ -823,49 +868,215 @@ struct RegionDetector::Impl {
     return true;
   }
 
-  /// Opens the next speculative window over the front of the queue, up to
-  /// kSpeculationWindowPerThread users per pool thread. Engine state stays
-  /// frozen while the pool emulates each member's views and builds its
-  /// region against them; nothing is recorded or sent until the commit.
-  void Speculate() {
-    obs::TraceScope span("speculate", "engine");
-    ThreadPool& pool = ThreadPool::Global();
-    spec_size = std::min(queue.size(),
-                         kSpeculationWindowPerThread * pool.thread_count());
-    spec_next = 0;
-    if (spec_slots.size() < spec_size) spec_slots.resize(spec_size);
-    for (size_t i = 0; i < spec_size; ++i) spec_slots[i].user = queue[i];
-    ParallelFor(pool, spec_size, [&](size_t i) {
+  /// Emulates window slots until none is left unclaimed. Driver and
+  /// helpers share this work while engine state is frozen.
+  void EmulateWindow(BuildCrew& c) {
+    for (size_t i; (i = c.next_emulate.fetch_add(
+                        1, std::memory_order_relaxed)) < spec_size;) {
       SpecSlot& slot = spec_slots[i];
-      const UserId u = slot.user;
-      EmulateViews(u, &slot);
-      slot.built = self.policy_->BuildConcurrent(
-          u, users[u].pos, slot.window, users[u].speed, slot.views, epoch,
-          &slot.build);
-    });
-    uint64_t built = 0;
-    for (size_t i = 0; i < spec_size; ++i) {
-      built += spec_slots[i].built ? 1 : 0;
-      if (!spec_slots[i].built) speculate = false;
+      try {
+        EmulateViews(&slot);
+      } catch (...) {
+        // The commit then builds inline, where the error surfaces.
+        slot.state.store(kDropped, std::memory_order_relaxed);
+      }
+      c.emulated.fetch_add(1, std::memory_order_release);
     }
-    SpeculationMetrics::Get().speculated.Inc(built);
+  }
+
+  /// Runs the build of a slot its caller claimed, against the emulated
+  /// views. It reads only the slot and the regions the views borrow.
+  void BuildSlot(SpecSlot& slot) {
+    try {
+      slot.built = self.policy_->BuildConcurrent(
+          slot.user, slot.pos, slot.window, slot.speed, slot.views, epoch,
+          &slot.build);
+    } catch (...) {
+      slot.built = false;  // As if declined; the inline build rethrows.
+    }
+    slot.state.store(kBuilt, std::memory_order_release);
+  }
+
+  static bool Claim(SpecSlot& slot) {
+    uint8_t s = kUnclaimed;
+    return slot.state.compare_exchange_strong(s, kBuilding,
+                                              std::memory_order_acq_rel);
+  }
+
+  /// Claims the first unclaimed slot in queue order and builds it. False
+  /// when no slot is left to claim.
+  bool BuildNext(BuildCrew& c) {
+    for (size_t i; (i = c.next_build.fetch_add(
+                        1, std::memory_order_relaxed)) < spec_size;) {
+      if (Claim(spec_slots[i])) {
+        BuildSlot(spec_slots[i]);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// One helper's share of an open window: emulate, wait for the barrier,
+  /// then build ahead of the commit until every slot is claimed.
+  void HelpWindow(BuildCrew& c) {
+    EmulateWindow(c);
+    while (c.emulated.load(std::memory_order_acquire) < spec_size) {
+      std::this_thread::yield();
+    }
+    uint64_t builds = 0;
+    while (BuildNext(c)) ++builds;
+    SpeculationMetrics::Get().helper_builds.Inc(builds);
+  }
+
+  /// A resident helper: one pool task for the whole resolve phase. It
+  /// spins on the window counter, joins each window it sees open, and
+  /// returns to the pool when the driver ends the phase. It waits only on
+  /// the driver, never on a queued pool task. Joining is a Dekker
+  /// handshake with CloseWindow: announce (`inside`), then re-check that
+  /// the window is still the one seen open.
+  static void HelpPhase(const std::shared_ptr<BuildCrew>& c) {
+    uint64_t seen = 0;
+    for (;;) {
+      const uint64_t w = c->window.load();
+      if ((w & 1) == 0 || w == seen) {
+        if (c->done.load()) return;
+        std::this_thread::yield();
+        continue;
+      }
+      seen = w;
+      c->inside.fetch_add(1);
+      if (c->window.load() == w) c->impl->HelpWindow(*c);
+      c->inside.fetch_sub(1);
+    }
+  }
+
+  /// Starts the resolve phase's helpers and sizes the window slots once.
+  void StartCrew() {
+    ThreadPool& pool = ThreadPool::Global();
+    if (spec_slots.empty()) {
+      spec_slots = std::vector<SpecSlot>(kSpeculationWindowPerThread *
+                                         pool.thread_count());
+    }
+    crew = std::make_shared<BuildCrew>();
+    crew->impl = this;
+    for (unsigned h = 1; h < pool.thread_count(); ++h) {
+      pool.Submit([c = crew] { HelpPhase(c); });
+    }
+  }
+
+  /// Opens the next window over the front of the queue, up to
+  /// kSpeculationWindowPerThread users per pool thread. Engine state stays
+  /// frozen while the driver and the helpers emulate each member's views;
+  /// after that barrier the helpers build ahead while the driver commits.
+  void OpenWindow() {
+    obs::TraceScope span("speculate", "engine");
+    spec_size = std::min(queue.size(), spec_slots.size());
+    spec_next = 0;
+    for (size_t i = 0; i < spec_size; ++i) {
+      spec_slots[i].user = queue[i];
+      spec_slots[i].state.store(kUnclaimed, std::memory_order_relaxed);
+    }
+    crew->next_emulate.store(0, std::memory_order_relaxed);
+    crew->emulated.store(0, std::memory_order_relaxed);
+    crew->next_build.store(0, std::memory_order_relaxed);
+    crew->window.fetch_add(1);  // Odd: open.
+    EmulateWindow(*crew);
+    while (crew->emulated.load(std::memory_order_acquire) < spec_size) {
+      std::this_thread::yield();
+    }
+  }
+
+  /// Closes the open window, if any: no helper joins it afterwards, and
+  /// every claimed build (a miss's included) has finished once this
+  /// returns, so the slots may be reused.
+  void CloseWindow() {
+    if ((crew->window.load(std::memory_order_relaxed) & 1) == 0) return;
+    crew->window.fetch_add(1);  // Even: closed.
+    while (crew->inside.load() != 0) std::this_thread::yield();
+    spec_size = spec_next = 0;
+  }
+
+  /// Ends the phase: the helpers return to the pool.
+  void EndCrew() {
+    CloseWindow();
+    crew->done.store(true);
+    crew.reset();
+    SpeculationMetrics::Get().commit_wait_ns.Inc(commit_wait_ns);
+    commit_wait_ns = 0;
+  }
+
+  /// Settles the commit's window slot. On a hit (`views_match`) the slot's
+  /// build is taken: made ahead by a helper, waited for when one is still
+  /// building it (the commit builds other unclaimed slots meanwhile), or
+  /// made here when nobody claimed it. On a miss the slot is dropped, or
+  /// left to finish if in flight, and the caller builds inline. True when
+  /// `*shape` holds the slot's region.
+  bool TakeSlot(SpecSlot& slot, bool views_match, SafeRegionShape* shape) {
+    const uint8_t state = slot.state.load(std::memory_order_acquire);
+    if (state == kBuilt && slot.built) {
+      SpeculationMetrics::Get().speculated.Inc();
+      if (views_match) SpeculationMetrics::Get().hits.Inc();
+    }
+    if (!views_match) {
+      uint8_t s = kUnclaimed;
+      slot.state.compare_exchange_strong(s, kDropped,
+                                         std::memory_order_relaxed);
+      return false;
+    }
+    if (state == kUnclaimed && Claim(slot)) {
+      BuildSlot(slot);
+    } else {
+      // A helper is building it: help with the window's unclaimed builds,
+      // and count only the time spent with nothing left to help with.
+      while (slot.state.load(std::memory_order_acquire) != kBuilt) {
+        if (BuildNext(*crew)) continue;
+        const auto idle = std::chrono::steady_clock::now();
+        std::this_thread::yield();
+        commit_wait_ns += static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - idle)
+                .count());
+      }
+    }
+    if (!slot.built) {
+      speculate = false;  // The policy declined: no further windows.
+      return false;
+    }
+    self.policy_->RecordBuild(*slot.build.sample);
+    *shape = std::move(slot.build.shape);
+    return true;
   }
 
   /// The rebuild loop: pops users needing a region in queue order, probes
   /// friends that are dangerously close, detects fresh matches, then
   /// installs a region built against the friends' effective regions. With
-  /// more than one pool thread the builds of the next window of queued
-  /// users are made ahead on the pool (Speculate); a commit takes its
-  /// user's build only when the views match, else builds inline, so the
-  /// output is the serial loop's for any thread count.
+  /// more than one pool thread, resident helpers build the next window of
+  /// queued users ahead of the commit; a commit takes its user's build
+  /// only when the views match, else builds inline, so the output is the
+  /// serial loop's for any thread count.
   void ResolvePhase() {
+    // Ends the phase's helpers on every way out, an exception's included:
+    // until the window closes they read the engine state and the slots.
+    struct CrewEnd {
+      Impl* impl;
+      ~CrewEnd() {
+        if (impl->crew != nullptr) impl->EndCrew();
+      }
+    } crew_end{this};
+    if (speculate && !queue.empty()) StartCrew();
     while (!queue.empty()) {
-      if (speculate && spec_next == spec_size) Speculate();
+      if (crew != nullptr && spec_next == spec_size) {
+        CloseWindow();
+        if (speculate) OpenWindow();
+      }
       const UserId u = queue.front();
       queue.pop_front();
       SpecSlot* slot = spec_next < spec_size ? &spec_slots[spec_next++]
                                              : nullptr;
-      if (!needs_region(u)) continue;
+      if (!needs_region(u)) {
+        if (slot != nullptr) TakeSlot(*slot, false, nullptr);
+        continue;
+      }
       const Vec2 l_u = users[u].pos;
       const double v_u = users[u].speed;
 
@@ -893,12 +1104,15 @@ struct RegionDetector::Impl {
       }
 
       SafeRegionShape shape;
-      if (slot != nullptr && slot->user == u && slot->built &&
-          SameViews(*slot)) {
-        SpeculationMetrics::Get().hits.Inc();
-        self.policy_->RecordBuild(*slot->build.sample);
-        shape = std::move(slot->build.shape);
-      } else {
+      const bool taken =
+          slot != nullptr &&
+          TakeSlot(*slot,
+                   slot->user == u &&
+                       slot->state.load(std::memory_order_relaxed) !=
+                           kDropped &&
+                       SameViews(*slot),
+                   &shape);
+      if (!taken) {
         world.RecentWindow(u, epoch, kWindow, &window_buf);
         shape = self.policy_->BuildRegion(u, l_u, window_buf, v_u,
                                           friend_views, epoch);
@@ -938,7 +1152,6 @@ struct RegionDetector::Impl {
         }
       });
       queue.clear();
-      spec_size = spec_next = 0;
       EngineMetrics::Get().epochs.Inc();
       {
         // Server-side bookkeeping time (Figure 8's CPU axis) now accumulates

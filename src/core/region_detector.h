@@ -19,10 +19,11 @@ namespace proxdet {
 /// instead of copying it: copying a Stripe allocates its anchor buffer,
 /// and deep-copying ~F of them per rebuild was a top profile entry. The
 /// borrowed pointer is valid for the duration of the build that reads it:
-/// BuildRegion runs inside the serial commit, and a concurrent build runs
-/// while the engine's state is frozen (the resolve phase's speculative
-/// window, DESIGN.md §15); nothing reinstalls a friend's region between
-/// view collection and the build. The virtual-split case owns its small
+/// BuildRegion runs inside the serial commit, and a concurrent build of a
+/// speculative window member borrows only regions of users outside that
+/// window, which the window's commits never reinstall (DESIGN.md §15); so
+/// nothing reinstalls a friend's region between view collection and the
+/// build. The virtual-split case owns its small
 /// circle in `owned_region`. Views are safely movable/copyable —
 /// `region()` resolves through the pointer only at read time.
 struct FriendView {
@@ -71,7 +72,9 @@ struct ConcurrentBuild {
 ///
 /// Threading: every hook but BuildConcurrent is called on the thread that
 /// called Detector::Run, from the engine's serial sections. Only
-/// BuildConcurrent, which a policy opts into, may run on pool threads.
+/// BuildConcurrent, which a policy opts into, may run on pool threads,
+/// and it may overlap those serial calls (BuildRegion and RecordBuild
+/// included).
 class RegionPolicy {
  public:
   virtual ~RegionPolicy() = default;

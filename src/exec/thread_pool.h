@@ -37,6 +37,14 @@ class ThreadPool {
 
   /// Enqueues a task. Tasks must not block waiting for other queued tasks
   /// (ParallelFor's caller-participation design never needs to).
+  ///
+  /// Long-lived tasks: the Stripe resolve phase (RegionDetector, DESIGN.md
+  /// §15) submits thread_count() - 1 build helpers that each hold a worker
+  /// for the whole phase, spinning between speculation windows. A helper
+  /// waits only on the phase's driver (the thread in Detector::Run), never
+  /// on a queued task, and the driver never waits for a helper to start;
+  /// so a phase cannot deadlock the pool even when Run() itself is a pool
+  /// task, and every worker is free again shortly after Run() returns.
   void Submit(std::function<void()> task);
 
   /// Parallelism from the PROXDET_THREADS environment variable, falling

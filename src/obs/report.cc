@@ -6,8 +6,6 @@
 namespace proxdet {
 namespace obs {
 
-namespace {
-
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -40,6 +38,8 @@ std::string JsonEscape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 std::string JsonNum(double v) {
   // JSON has no Inf/NaN; encode them as strings so the document stays valid.

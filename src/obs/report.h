@@ -12,6 +12,10 @@
 namespace proxdet {
 namespace obs {
 
+/// `s` escaped for use inside a JSON string literal: quotes, backslashes
+/// and control characters escaped.
+std::string JsonEscape(const std::string& s);
+
 /// Per-run observability report: free-form info strings, named sections of
 /// scalar values (e.g. the run's CommStats, net-layer totals, cost-model
 /// parameters) and a full metrics snapshot, serialized as one JSON

@@ -69,5 +69,18 @@ TEST_F(BenchJsonPathTest, FilenameIsNotInterpreted) {
   EXPECT_EQ(BenchJsonPath("TRACE_net.json"), "TRACE_net.json");
 }
 
+// The machine block every BENCH file records: one JSON object naming the
+// CPU count, CPU model, SIMD backend and build type, on one line.
+TEST(MachineJsonTest, NamesTheMachineInOneObject) {
+  const std::string machine = MachineJson();
+  EXPECT_EQ(machine.rfind("{\"nproc\": ", 0), 0u) << machine;
+  EXPECT_EQ(machine.back(), '}');
+  for (const char* key : {"\"cpu_model\": \"", "\"simd_backend\": \"",
+                          "\"build_type\": \""}) {
+    EXPECT_NE(machine.find(key), std::string::npos) << key << " in " << machine;
+  }
+  EXPECT_EQ(machine.find('\n'), std::string::npos);
+}
+
 }  // namespace
 }  // namespace proxdet

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <mutex>
 #include <thread>
 
@@ -252,6 +254,56 @@ class LoggingPolicy final : public RegionPolicy {
   ThreadLog* log_;
 };
 
+/// A forwarding StripePolicy that counts the regions the commit builds
+/// inline (BuildRegion). With more than one pool thread that happens only
+/// on a speculation miss, so fewer inline builds than rebuilds shows that
+/// regions came from BuildConcurrent, however the helpers were scheduled.
+/// With `busy_units` > 0 each concurrent build first does busy-work keyed
+/// on the user id: some builds then take far longer than a commit, so
+/// commits overtake in-flight builds, misses land while a helper is still
+/// building, and the commit waits for (and helps with) claimed builds. The
+/// regions themselves are the inner policy's, so output must not change.
+class ForwardingStripePolicy final : public RegionPolicy {
+ public:
+  ForwardingStripePolicy(std::unique_ptr<StripePolicy> inner,
+                         uint64_t busy_units)
+      : inner_(std::move(inner)), busy_units_(busy_units) {}
+  std::string name() const override { return inner_->name(); }
+  SafeRegionShape BuildRegion(UserId u, const Vec2& location,
+                              const std::vector<Vec2>& recent_window,
+                              double speed,
+                              const std::vector<FriendView>& friends,
+                              int epoch) override {
+    ++inline_builds_;
+    return inner_->BuildRegion(u, location, recent_window, speed, friends,
+                               epoch);
+  }
+  bool BuildConcurrent(UserId u, const Vec2& location,
+                       const std::vector<Vec2>& recent_window, double speed,
+                       const std::vector<FriendView>& friends, int epoch,
+                       ConcurrentBuild* out) const override {
+    // 0, 1 or 2 units of 40k LCG steps: a third of the builds are fast.
+    uint64_t x = static_cast<uint64_t>(u) + 1;
+    const uint64_t steps = static_cast<uint64_t>(u % 3) * busy_units_ * 40000;
+    for (uint64_t i = 0; i < steps; ++i) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    }
+    sink_.fetch_xor(x, std::memory_order_relaxed);
+    return inner_->BuildConcurrent(u, location, recent_window, speed,
+                                   friends, epoch, out);
+  }
+  void RecordBuild(const BuildSample& sample) override {
+    inner_->RecordBuild(sample);
+  }
+  uint64_t inline_builds() const { return inline_builds_; }
+
+ private:
+  std::unique_ptr<StripePolicy> inner_;
+  uint64_t busy_units_;
+  uint64_t inline_builds_ = 0;  // Run() thread only.
+  mutable std::atomic<uint64_t> sink_{0};
+};
+
 // The seam contract timing wrappers rely on: a policy that does not opt
 // into concurrent construction is only ever called — and its predictor
 // only ever asked — on the thread that called Run(), even on a 4-thread
@@ -296,18 +348,105 @@ TEST(RegionDetectorTest, WrappedPolicySeesOnlyTheRunThread) {
   }
   EXPECT_EQ(speculated, 0u);
 
-  RegionDetector plain(std::make_unique<StripePolicy>(
-      MakeTrainedPredictor(PredictorKind::kKalman, workload), options));
+  auto counting = std::make_unique<ForwardingStripePolicy>(
+      std::make_unique<StripePolicy>(
+          MakeTrainedPredictor(PredictorKind::kKalman, workload), options),
+      0);
+  const ForwardingStripePolicy& counter = *counting;
+  RegionDetector plain(std::move(counting));
   obs::Metrics().Reset();
   plain.Run(workload.world);
-  EXPECT_GT(obs::Metrics()
-                .Snapshot()
-                .counters.at("engine.resolve.speculated")
-                .second,
-            0u);
+  EXPECT_LT(counter.inline_builds(), plain.rebuild_count())
+      << "the opted-in policy built nothing concurrently";
   EXPECT_EQ(wrapped.SortedAlerts(), plain.SortedAlerts());
   EXPECT_TRUE(wrapped.stats() == plain.stats());
   EXPECT_EQ(wrapped.rebuild_count(), plain.rebuild_count());
+}
+
+// The resident helpers build while the commit runs. Under slow, uneven
+// builds every run must still be the 1-thread run, and once Run() returns
+// every pool worker must be free again: a ParallelFor whose iterations
+// each wait for all of the pool's threads completes only then.
+TEST(RegionDetectorTest, SlowHelperBuildsStayExactAndReturnToThePool) {
+  struct PoolGuard {
+    ~PoolGuard() {
+      ThreadPool::SetGlobalThreads(ThreadPool::DefaultThreadCount());
+    }
+  } guard;
+  WorkloadConfig config;
+  config.num_users = 200;
+  config.epochs = 30;
+  config.avg_friends = 10.0;
+  config.training_users = 12;
+  config.training_epochs = 60;
+  const Workload workload = BuildWorkload(config);
+  std::unique_ptr<Predictor> trained =
+      MakeTrainedPredictor(PredictorKind::kKalman, workload);
+  const StripePolicy::Options options =
+      CalibratedStripeOptions(trained.get(), workload);
+
+  struct Outcome {
+    std::vector<AlertEvent> alerts;
+    CommStats stats;
+    uint64_t rebuilds = 0;
+    std::string digest;
+    uint64_t helper_builds = 0;
+  };
+  const auto run = [&](unsigned threads) {
+    ThreadPool::SetGlobalThreads(threads);
+    RegionDetector detector(std::make_unique<ForwardingStripePolicy>(
+        std::make_unique<StripePolicy>(
+            MakeTrainedPredictor(PredictorKind::kKalman, workload), options),
+        1));
+    obs::Metrics().Reset();
+    detector.Run(workload.world);
+    const obs::MetricsSnapshot snapshot = obs::Metrics().Snapshot();
+    const auto counter = [&](const std::string& name) -> uint64_t {
+      const auto it = snapshot.counters.find(name);
+      return it == snapshot.counters.end() ? 0 : it->second.second;
+    };
+
+    const unsigned n = ThreadPool::Global().thread_count();
+    std::atomic<unsigned> arrived{0};
+    std::atomic<unsigned> met{0};
+    ParallelFor(n, [&](size_t) {
+      arrived.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (arrived.load() < n &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      if (arrived.load() == n) met.fetch_add(1);
+    });
+    EXPECT_EQ(met.load(), n) << "a pool thread is still busy after Run() at "
+                             << threads << " threads";
+
+    Outcome out;
+    out.alerts = detector.SortedAlerts();
+    out.stats = detector.stats();
+    out.rebuilds = detector.rebuild_count();
+    out.digest = snapshot.DeterministicDigest();
+    out.helper_builds = counter("engine.resolve.helper_builds");
+    return out;
+  };
+
+  const Outcome serial = run(1);
+  ASSERT_GT(serial.rebuilds, 0u);
+  EXPECT_EQ(serial.alerts, workload.GroundTruth());
+  EXPECT_EQ(serial.helper_builds, 0u);
+  uint64_t helper_builds = 0;
+  for (const unsigned threads : {2u, 3u, 4u, 8u}) {
+    const Outcome parallel = run(threads);
+    EXPECT_EQ(parallel.alerts, serial.alerts) << threads << " threads";
+    EXPECT_TRUE(parallel.stats == serial.stats)
+        << threads << " threads: " << parallel.stats << " vs "
+        << serial.stats;
+    EXPECT_EQ(parallel.rebuilds, serial.rebuilds) << threads << " threads";
+    EXPECT_EQ(parallel.digest, serial.digest) << threads << " threads";
+    helper_builds += parallel.helper_builds;
+  }
+  EXPECT_GT(helper_builds, 0u);
 }
 
 }  // namespace

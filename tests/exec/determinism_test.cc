@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_support/sweep_runner.h"
 #include "common/rng.h"
+#include "core/policies.h"
+#include "core/region_detector.h"
 #include "core/simulation.h"
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
@@ -144,10 +147,48 @@ TEST(DeterminismTest, DetectorEpochLoopIdenticalAcrossThreadCounts) {
   }
 }
 
+/// A forwarding StripePolicy that counts the regions built inline by the
+/// commit (BuildRegion). With more than one pool thread every queued user
+/// has a window slot, so the commit builds inline only when its views no
+/// longer match the slot's (a miss); every other region comes from
+/// BuildConcurrent. Which builds miss depends only on the window layout
+/// and the engine state, not on when the helpers run.
+class InlineBuildCounter final : public RegionPolicy {
+ public:
+  explicit InlineBuildCounter(std::unique_ptr<StripePolicy> inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  SafeRegionShape BuildRegion(UserId u, const Vec2& location,
+                              const std::vector<Vec2>& recent_window,
+                              double speed,
+                              const std::vector<FriendView>& friends,
+                              int epoch) override {
+    ++inline_builds_;
+    return inner_->BuildRegion(u, location, recent_window, speed, friends,
+                               epoch);
+  }
+  bool BuildConcurrent(UserId u, const Vec2& location,
+                       const std::vector<Vec2>& recent_window, double speed,
+                       const std::vector<FriendView>& friends, int epoch,
+                       ConcurrentBuild* out) const override {
+    return inner_->BuildConcurrent(u, location, recent_window, speed,
+                                   friends, epoch, out);
+  }
+  void RecordBuild(const BuildSample& sample) override {
+    inner_->RecordBuild(sample);
+  }
+  uint64_t inline_builds() const { return inline_builds_; }
+
+ private:
+  std::unique_ptr<StripePolicy> inner_;
+  uint64_t inline_builds_ = 0;  // Run() thread only.
+};
+
 // A dense crowd — few users, many friends each, a wide alert radius — where
 // one commit's probes and matches routinely change a later window member's
-// views: the speculative resolve must discard those builds (hits <
-// speculated) and still reproduce the 1-thread run exactly.
+// views: the speculative resolve must discard those builds and build
+// inline (0 < inline builds < rebuilds) and still reproduce the 1-thread
+// run exactly.
 TEST(DeterminismTest, SpeculationMissesStayExact) {
   GlobalPoolGuard guard;
   WorkloadConfig config = TinyConfig(40);
@@ -155,29 +196,47 @@ TEST(DeterminismTest, SpeculationMissesStayExact) {
   config.alert_radius_m = 12000.0;
   const Workload workload = BuildWorkload(config);
 
-  ThreadPool::SetGlobalThreads(1);
-  obs::Metrics().Reset();
-  const RunResult serial = RunMethod(Method::kStripeKf, workload);
-  const std::string serial_digest =
-      obs::Metrics().Snapshot().DeterministicDigest();
-  ThreadPool::SetGlobalThreads(4);
-  obs::Metrics().Reset();
-  const RunResult parallel = RunMethod(Method::kStripeKf, workload);
-  const obs::MetricsSnapshot snapshot = obs::Metrics().Snapshot();
+  struct Outcome {
+    std::vector<AlertEvent> alerts;
+    CommStats stats;
+    uint64_t rebuilds = 0;
+    uint64_t inline_builds = 0;
+    std::string digest;
+  };
+  const auto run = [&](unsigned threads) {
+    ThreadPool::SetGlobalThreads(threads);
+    obs::Metrics().Reset();
+    std::unique_ptr<Predictor> predictor =
+        MakeTrainedPredictor(PredictorKind::kKalman, workload);
+    const StripePolicy::Options options =
+        CalibratedStripeOptions(predictor.get(), workload);
+    auto policy = std::make_unique<InlineBuildCounter>(
+        std::make_unique<StripePolicy>(std::move(predictor), options));
+    const InlineBuildCounter& counter = *policy;
+    RegionDetector detector(std::move(policy));
+    detector.Run(workload.world);
+    Outcome out;
+    out.alerts = detector.SortedAlerts();
+    out.stats = detector.stats();
+    out.rebuilds = detector.rebuild_count();
+    out.inline_builds = counter.inline_builds();
+    out.digest = obs::Metrics().Snapshot().DeterministicDigest();
+    return out;
+  };
 
-  const uint64_t speculated =
-      snapshot.counters.at("engine.resolve.speculated").second;
-  const uint64_t hits =
-      snapshot.counters.at("engine.resolve.speculation_hits").second;
-  EXPECT_GT(hits, 0u);
-  EXPECT_LT(hits, speculated) << "the workload no longer forces a miss";
-  EXPECT_TRUE(serial.alerts_exact);
-  EXPECT_TRUE(parallel.alerts_exact);
-  EXPECT_EQ(serial.alert_count, parallel.alert_count);
-  EXPECT_EQ(serial.rebuild_count, parallel.rebuild_count);
-  EXPECT_TRUE(serial.stats == parallel.stats)
+  const Outcome serial = run(1);
+  const Outcome parallel = run(4);
+  EXPECT_EQ(serial.alerts, workload.GroundTruth());
+  EXPECT_EQ(serial.inline_builds, serial.rebuilds);
+  EXPECT_GT(parallel.inline_builds, 0u)
+      << "the workload no longer forces a miss";
+  EXPECT_LT(parallel.inline_builds, parallel.rebuilds)
+      << "no speculative build was taken";
+  EXPECT_EQ(parallel.alerts, serial.alerts);
+  EXPECT_EQ(parallel.rebuilds, serial.rebuilds);
+  EXPECT_TRUE(parallel.stats == serial.stats)
       << serial.stats << " vs " << parallel.stats;
-  EXPECT_EQ(serial_digest, snapshot.DeterministicDigest());
+  EXPECT_EQ(parallel.digest, serial.digest);
 }
 
 std::vector<std::vector<RunResult>> RunTinySweep() {
