@@ -41,7 +41,7 @@ RunResult RunVariant(const Workload& workload, double approach_factor,
   result.stats = detector.stats();
   const std::vector<AlertEvent> alerts = detector.SortedAlerts();
   result.alert_count = alerts.size();
-  result.alerts_exact = alerts == workload.ground_truth;
+  result.alerts_exact = alerts == workload.GroundTruth();
   return result;
 }
 

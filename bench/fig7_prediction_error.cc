@@ -10,6 +10,7 @@
 #include "bench/bench_common.h"
 #include "bench_support/experiment.h"
 #include "common/rng.h"
+#include "common/table.h"
 #include "exec/thread_pool.h"
 #include "predict/evaluator.h"
 #include "predict/predictor.h"

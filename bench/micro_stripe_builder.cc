@@ -74,7 +74,7 @@ BENCHMARK(BM_SolveRadiusOnly);
 
 /// Radius solves shaped like kf_rush's (Stripe+KF on commuter_rush): the
 /// per-step sigma grows from ~220 m at m = 1 to ~1.5 km at m = 20, the cap
-/// is the builder's max(sigma_cap_mult * sigma, min_radius), the user moves
+/// is the builder's max(sigma_cap_mult * sigma, kStripeMinRadius), the user moves
 /// ~200 m/epoch, and each of the F friends sits 100-1800 m outside a
 /// ~300-440 m alert radius with an approach-scaled speed of 0-22 m/epoch —
 /// or, for one friend in five, a parked 8e-5 m/epoch, whose steep E_p
@@ -88,7 +88,7 @@ void BM_SolveRadiusKfRush(benchmark::State& state) {
     config.sigma_per_step.push_back(150.0 * (1.0 + 0.45 * step));
   }
   const double sigma = config.SigmaForStep(m == 0 ? 1 : m);
-  const double cap = std::max(config.sigma_cap_mult * sigma, config.min_radius);
+  const double cap = std::max(config.sigma_cap_mult * sigma, kStripeMinRadius);
   Rng rng(17);
   struct Input {
     std::vector<FriendGap> gaps;
@@ -109,7 +109,7 @@ void BM_SolveRadiusKfRush(benchmark::State& state) {
   for (auto _ : state) {
     const Input& in = inputs[i++ & 255];
     benchmark::DoNotOptimize(SolveStripeRadius(in.gaps, m, sigma, in.speed,
-                                               cap, config.epsilon));
+                                               cap, kStripeEpsilon));
   }
 }
 BENCHMARK(BM_SolveRadiusKfRush)

@@ -50,22 +50,27 @@
 # ground truth, the simulation loop, the region detector) runs the same
 # kernels end to end; the `predict` suite covers the prediction models.
 # The `geom` suite checks the Stripe's single-buffer layout, whose segment
-# lanes are pointer offsets into its anchor arrays; `common` (RNG, stats,
-# linear algebra) and `substrate` (road network, trajectories, interest
+# lanes are pointer offsets into its anchor arrays; `common` (RNG, the
+# folded-normal CDF, the small dense linear algebra RMF fits with, the
+# ASCII tables) and `substrate` (road network, trajectories, interest
 # graph) are the plain numeric code everything else stands on.
 #
 # A fourth leg runs the protocol and observability suites — `net`, `shard`,
 # `latency`, `socket` and `obs` — plus `geom`, `common` and `substrate`,
-# and the kernel and builder suites — `simd`, `pair_check`, `core`,
-# `engine` and `predict` — under -DPROXDET_SANITIZE=address. The transport
+# the kernel and builder suites — `simd`, `pair_check`, `core`, `engine`
+# and `predict` — and the `scale` and `sanitize` suites (the streaming
+# world's position ring and ground-truth replay; the thread pool and the
+# determinism runs) under -DPROXDET_SANITIZE=address. The transport
 # recycles frame buffers through a pool, keeps pending frames in per-peer
 # ring slots, decodes into a per-thread scratch frame and records protocol
 # events into fixed ring arrays; a Stripe's kernels read its segment end
 # points through the anchor arrays offset by one; the vector kernels load
 # whole lane blocks and hand the remainder to the scalar tail; and the
 # stripe builder stages every friend constraint into reused per-thread SoA
-# scratch and reduces over lane ranges of it: a use-after-free or an
-# overrun in any of them shows up here.
+# scratch and reduces over lane ranges of it; a streaming world serves
+# positions from a fixed ring of epoch rows, and the resident build helpers
+# hand their slots back to the driver across threads: a use-after-free or
+# an overrun in any of them shows up here.
 #
 #   scripts/check.sh [extra cmake args...]
 #
@@ -100,5 +105,5 @@ ctest --test-dir "$UBSAN_BUILD_DIR" \
 cmake -B "$ASAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=address "$@"
 cmake --build "$ASAN_BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$ASAN_BUILD_DIR" \
-  -L 'net|shard|latency|socket|obs|geom|common|substrate|simd|pair_check|core|engine|predict' \
+  -L 'net|shard|latency|socket|obs|geom|common|substrate|simd|pair_check|core|engine|predict|scale|sanitize' \
   --output-on-failure -j "$JOBS"

@@ -1,9 +1,5 @@
 #include "bench_support/experiment.h"
 
-#include <cstdio>
-
-#include "exec/thread_pool.h"
-
 namespace proxdet {
 
 WorkloadConfig DefaultExperimentConfig(DatasetKind dataset) {
@@ -18,45 +14,6 @@ WorkloadConfig DefaultExperimentConfig(DatasetKind dataset) {
   config.training_users = 60;
   config.training_epochs = 200;
   return config;
-}
-
-std::vector<RunResult> RunSuite(const std::vector<Method>& methods,
-                                const Workload& workload) {
-  // Method cells are independent (each builds its own detector and
-  // predictor from the const workload), so they fan out across the pool;
-  // results land in method order regardless of the thread count.
-  std::vector<RunResult> results = ParallelMap<RunResult>(
-      methods.size(),
-      [&](size_t i) { return RunMethod(methods[i], workload); });
-  for (size_t i = 0; i < methods.size(); ++i) {
-    if (!results[i].alerts_exact) {
-      std::fprintf(stderr,
-                   "FATAL: %s deviated from the ground-truth alert stream on "
-                   "%s — benchmark numbers would be void.\n",
-                   MethodName(methods[i]).c_str(),
-                   DatasetName(workload.config.dataset).c_str());
-      std::abort();
-    }
-  }
-  return results;
-}
-
-Table MakeFigureTable(const std::string& title, const std::string& x_label,
-                      const std::vector<std::string>& x_values,
-                      const std::vector<Method>& methods,
-                      const std::vector<std::vector<RunResult>>& results) {
-  Table table(title);
-  std::vector<std::string> header{x_label};
-  for (const Method m : methods) header.push_back(MethodName(m));
-  table.SetHeader(std::move(header));
-  for (size_t i = 0; i < x_values.size(); ++i) {
-    std::vector<std::string> row{x_values[i]};
-    for (const RunResult& r : results[i]) {
-      row.push_back(std::to_string(r.stats.TotalMessages()));
-    }
-    table.AddRow(std::move(row));
-  }
-  return table;
 }
 
 }  // namespace proxdet

@@ -1,10 +1,6 @@
 #ifndef PROXDET_BENCH_SUPPORT_EXPERIMENT_H_
 #define PROXDET_BENCH_SUPPORT_EXPERIMENT_H_
 
-#include <string>
-#include <vector>
-
-#include "common/table.h"
 #include "core/simulation.h"
 
 namespace proxdet {
@@ -13,19 +9,6 @@ namespace proxdet {
 /// S=900, V=8, r=6km). The sweep *shapes* of Figures 8-13 are preserved;
 /// absolute message counts scale with N and S. See EXPERIMENTS.md.
 WorkloadConfig DefaultExperimentConfig(DatasetKind dataset);
-
-/// Runs every method on the workload and returns the per-method results in
-/// method order. Aborts (logs) if any method's alert stream deviates from
-/// ground truth — benchmark numbers from an incorrect detector are void.
-std::vector<RunResult> RunSuite(const std::vector<Method>& methods,
-                                const Workload& workload);
-
-/// Renders one figure series: rows = sweep values, columns = methods,
-/// cells = total communication I/O.
-Table MakeFigureTable(const std::string& title, const std::string& x_label,
-                      const std::vector<std::string>& x_values,
-                      const std::vector<Method>& methods,
-                      const std::vector<std::vector<RunResult>>& results);
 
 }  // namespace proxdet
 

@@ -58,7 +58,7 @@ const std::vector<std::vector<RunResult>>& SweepRunner::Run() {
     });
   });
 
-  // Deterministic post-check in grid order, mirroring RunSuite's abort.
+  // Deterministic post-check in grid order.
   for (size_t p = 0; p < points_.size(); ++p) {
     for (size_t c = 0; c < columns_.size(); ++c) {
       if (!results_[p][c].alerts_exact) {

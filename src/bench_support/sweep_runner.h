@@ -39,8 +39,8 @@ std::vector<SweepColumn> MethodColumns(const std::vector<Method>& methods);
 /// (server_seconds, wall_seconds) vary between runs.
 ///
 /// Correctness contract: Run() aborts the process if any cell's alert
-/// stream deviated from ground truth, exactly like the historical serial
-/// RunSuite — benchmark numbers from an incorrect detector are void.
+/// stream deviated from ground truth — benchmark numbers from an incorrect
+/// detector are void.
 class SweepRunner {
  public:
   /// `figure` is a short id ("fig9") used for the JSON snapshot name.
@@ -67,7 +67,6 @@ class SweepRunner {
 
   /// Figure table for one group: rows = that group's points in insertion
   /// order, columns = column labels, cells = total communication I/O.
-  /// Identical layout to the historical MakeFigureTable output.
   Table GroupTable(const std::string& title, const std::string& x_label,
                    const std::string& group) const;
 

@@ -4,37 +4,10 @@
 
 namespace proxdet {
 
-double NormalPdf(double x) {
-  const double inv_sqrt_2pi = 0.3989422804014326779399461;
-  return inv_sqrt_2pi * std::exp(-0.5 * x * x);
-}
-
-double NormalCdf(double x) {
-  return 0.5 * std::erfc(-x * 0.7071067811865475244008444);
-}
-
 double FoldedNormalCdf(double s, double sigma) {
   if (s <= 0.0) return 0.0;
   if (sigma <= 0.0) return 1.0;  // A perfect predictor never misses.
   return std::erf(s / (sigma * 1.4142135623730950488016887));
-}
-
-double FoldedNormalQuantile(double p, double sigma) {
-  if (p <= 0.0) return 0.0;
-  if (p >= 1.0) p = 1.0 - 1e-12;
-  // Bisection on the monotone CDF; 80 iterations is far past double
-  // precision for the bracket below.
-  double lo = 0.0;
-  double hi = sigma * 40.0 + 1.0;
-  for (int i = 0; i < 80; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (FoldedNormalCdf(mid, sigma) < p) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
 }
 
 }  // namespace proxdet

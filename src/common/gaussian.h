@@ -3,12 +3,6 @@
 
 namespace proxdet {
 
-/// Standard normal probability density at x.
-double NormalPdf(double x);
-
-/// Standard normal cumulative distribution function.
-double NormalCdf(double x);
-
 /// P(|N(0, sigma^2)| <= s): the folded-normal CDF.
 ///
 /// The paper's Eq. (6) integrates the one-sided Gaussian density from 0 to
@@ -16,10 +10,6 @@ double NormalCdf(double x);
 /// *distance*, the folded form (which tends to 1 as s grows) is the quantity
 /// the derivation of E_m actually needs. See DESIGN.md §2.2.
 double FoldedNormalCdf(double s, double sigma);
-
-/// Inverse of FoldedNormalCdf in s for fixed sigma: the error magnitude
-/// below which a fraction p of samples fall. p in [0, 1).
-double FoldedNormalQuantile(double p, double sigma);
 
 }  // namespace proxdet
 

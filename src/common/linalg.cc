@@ -7,12 +7,6 @@ namespace proxdet {
 Matrix::Matrix(size_t rows, size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n);
-  for (size_t i = 0; i < n; ++i) m.At(i, i) = 1.0;
-  return m;
-}
-
 Matrix Matrix::Transpose() const {
   Matrix t(cols_, rows_);
   for (size_t r = 0; r < rows_; ++r)
@@ -31,24 +25,6 @@ Matrix Matrix::operator*(const Matrix& other) const {
       }
     }
   }
-  return out;
-}
-
-Matrix Matrix::operator+(const Matrix& other) const {
-  Matrix out(rows_, cols_);
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] = data_[i] + other.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& other) const {
-  Matrix out(rows_, cols_);
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] = data_[i] - other.data_[i];
-  return out;
-}
-
-Matrix Matrix::Scaled(double k) const {
-  Matrix out(rows_, cols_);
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] = data_[i] * k;
   return out;
 }
 
@@ -94,20 +70,6 @@ bool SolveLinearSystem(Matrix a, std::vector<double> b, std::vector<double>* x) 
     double acc = b[ri];
     for (size_t c = ri + 1; c < n; ++c) acc -= a.At(ri, c) * (*x)[c];
     (*x)[ri] = acc / a.At(ri, ri);
-  }
-  return true;
-}
-
-bool Invert(const Matrix& a, Matrix* inv) {
-  const size_t n = a.rows();
-  if (a.cols() != n) return false;
-  *inv = Matrix(n, n);
-  for (size_t col = 0; col < n; ++col) {
-    std::vector<double> e(n, 0.0);
-    e[col] = 1.0;
-    std::vector<double> x;
-    if (!SolveLinearSystem(a, e, &x)) return false;
-    for (size_t r = 0; r < n; ++r) inv->At(r, col) = x[r];
   }
   return true;
 }

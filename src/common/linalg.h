@@ -14,8 +14,6 @@ class Matrix {
   Matrix() = default;
   Matrix(size_t rows, size_t cols, double fill = 0.0);
 
-  static Matrix Identity(size_t n);
-
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
 
@@ -24,9 +22,6 @@ class Matrix {
 
   Matrix Transpose() const;
   Matrix operator*(const Matrix& other) const;
-  Matrix operator+(const Matrix& other) const;
-  Matrix operator-(const Matrix& other) const;
-  Matrix Scaled(double k) const;
 
   /// Matrix-vector product. Requires v.size() == cols().
   std::vector<double> Apply(const std::vector<double>& v) const;
@@ -40,9 +35,6 @@ class Matrix {
 /// Solves A x = b by Gaussian elimination with partial pivoting.
 /// Returns false when A is (numerically) singular.
 bool SolveLinearSystem(Matrix a, std::vector<double> b, std::vector<double>* x);
-
-/// Inverts a square matrix; returns false when singular.
-bool Invert(const Matrix& a, Matrix* inv);
 
 /// Ridge-regularized least squares: minimizes |A x - b|^2 + lambda |x|^2 via
 /// the normal equations. Returns false on failure. lambda > 0 keeps the

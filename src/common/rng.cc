@@ -83,6 +83,4 @@ size_t Rng::WeightedIndex(const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
-Rng Rng::Fork() { return Rng(NextU64()); }
-
 }  // namespace proxdet

@@ -44,10 +44,6 @@ class Rng {
   /// input (all zero weights).
   size_t WeightedIndex(const std::vector<double>& weights);
 
-  /// Derives an independent child generator; useful to give each user or
-  /// module its own stream while staying reproducible.
-  Rng Fork();
-
  private:
   uint64_t state_[4];
   double spare_gaussian_ = 0.0;

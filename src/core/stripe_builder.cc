@@ -195,7 +195,7 @@ StripeBuildResult BuildPredictiveStripe(
   for (const Vec2& p : predicted_in) predicted.push_back(SnapToAnchorGrid(p));
   const auto radius_cap_for = [&config](int m) {
     return std::max(config.sigma_cap_mult * config.SigmaForStep(m),
-                    config.min_radius);
+                    kStripeMinRadius);
   };
 
   StagedConstraints& staged = scratch.staged;
@@ -264,7 +264,7 @@ StripeBuildResult BuildPredictiveStripe(
   best.m = 0;
   best.solution = SolveStripeRadius(gaps, 0, config.SigmaForStep(1),
                                     user_speed, radius_cap_for(1),
-                                    config.epsilon);
+                                    kStripeEpsilon);
   size_t solves = 1;
   size_t exact_evaluations = best.solution.exact_evaluations;
 
@@ -352,7 +352,7 @@ StripeBuildResult BuildPredictiveStripe(
     if (RadiusUpperBound(gaps) <= 0.0) break;  // No sound radius left.
     const RadiusSolution sol =
         SolveStripeRadius(gaps, m, config.SigmaForStep(m), user_speed,
-                          radius_cap_for(m), config.epsilon);
+                          radius_cap_for(m), kStripeEpsilon);
     ++solves;
     exact_evaluations += sol.exact_evaluations;
     if (sol.Objective() > best.solution.Objective()) {
@@ -361,7 +361,7 @@ StripeBuildResult BuildPredictiveStripe(
     }
     // Confidence floor: once reaching step m is too unlikely, longer
     // stripes only dilute the cost model (Algorithm 2's p_min cutoff).
-    if (sol.stay_pow < config.p_min) break;
+    if (sol.stay_pow < kStripePMin) break;
   }
   best.stripe = Stripe(anchors.data(), static_cast<size_t>(best.m) + 1,
                        best.solution.radius);

@@ -23,6 +23,14 @@ struct StripeFriendConstraint {
   double speed = 0.0;  // m/epoch
 };
 
+/// Confidence floor: stop extending the stripe once p^m < kStripePMin
+/// (Algorithm 2's tolerance threshold on step-m prediction accuracy).
+constexpr double kStripePMin = 0.05;
+/// Bisection tolerance on |E_m - E_p| in epochs.
+constexpr double kStripeEpsilon = 1e-3;
+/// Floor of the stripe's radius cap, in meters (see sigma_cap_mult).
+constexpr double kStripeMinRadius = 30.0;
+
 struct StripeBuildConfig {
   /// Calibrated prediction-error scale of the underlying model (meters).
   double sigma = 20.0;
@@ -42,17 +50,11 @@ struct StripeBuildConfig {
   /// Hard cap on the number of predicted steps enclosed (the paper's
   /// prediction output lengths run 10-30, Fig. 7).
   int max_horizon = 20;
-  /// Confidence floor: stop extending the stripe once p^m < p_min
-  /// (Algorithm 2's tolerance threshold on step-m prediction accuracy).
-  double p_min = 0.05;
-  /// Bisection tolerance on |E_m - E_p| in epochs.
-  double epsilon = 1e-3;
   /// Radius cap when no friend constrains the stripe (and a global cap
-  /// otherwise): max(sigma_cap_mult * sigma, min_radius). Sized by the
+  /// otherwise): max(sigma_cap_mult * sigma, kStripeMinRadius). Sized by the
   /// prediction-error scale — beyond a few sigmas the stay probability
   /// saturates and extra radius only attracts probes.
   double sigma_cap_mult = 4.0;
-  double min_radius = 30.0;  // meters
   /// E_p pessimism calibration. Eq. (4)'s estimate assumes every friend
   /// beelines toward the stripe at full speed; in the running system probes
   /// fire only when a nearby friend actually rebuilds within the alert

@@ -125,7 +125,7 @@ const std::vector<GraphUpdate>& World::scheduled_updates() const {
 
 namespace {
 
-/// Per-pair ground-truth replay state (see GroundTruthAlerts).
+/// Per-pair ground-truth replay inputs (see GroundTruthAlerts).
 struct PairState {
   UserId u = -1;
   UserId w = -1;
@@ -162,82 +162,18 @@ std::vector<PairState> BuildPairStates(const InterestGraph& graph,
 }  // namespace
 
 std::vector<AlertEvent> World::GroundTruthAlerts() const {
-  if (stream_) return StreamingGroundTruth();
-  // Resolve the lazily-sorted schedule once; the per-pair replay below
-  // depends on epoch order.
-  const std::vector<GraphUpdate>& updates = scheduled_updates();
-  // Pairs never interact: an edge's alert timeline depends only on its own
-  // updates and the two trajectories. The scan therefore partitions by
-  // *pair* — each pair replays all epochs with its private live/matched
-  // state — and the per-pair streams are merged and sorted. This yields
-  // the same alert set as the historical per-epoch sweep over a shared
-  // live map, for any thread count.
-  const std::vector<PairState> pairs = BuildPairStates(graph_, updates);
-
-  // Chunked fan-out keeps per-task bookkeeping negligible next to the
-  // epochs * pairs distance work.
-  const size_t chunk = 64;
-  const size_t chunks = (pairs.size() + chunk - 1) / chunk;
-  std::vector<std::vector<AlertEvent>> partial(chunks);
-  ParallelFor(chunks, [&](size_t c) {
-    std::vector<AlertEvent>& alerts = partial[c];
-    const size_t lo = c * chunk;
-    const size_t hi = std::min(lo + chunk, pairs.size());
-    for (size_t p = lo; p < hi; ++p) {
-      const PairState& pair = pairs[p];
-      bool live = pair.initially_live;
-      double radius = pair.initial_radius;
-      bool matched = false;
-      size_t next_update = 0;
-      for (int epoch = 0; epoch < epochs_; ++epoch) {
-        while (next_update < pair.updates.size() &&
-               updates[pair.updates[next_update]].epoch <= epoch) {
-          const GraphUpdate& up = updates[pair.updates[next_update]];
-          if (up.insert) {
-            if (!live) {  // Matches the shared map's emplace(): inserting
-              live = true;  // an already-live edge keeps the old radius.
-              radius = up.alert_radius;
-            }
-          } else {
-            live = false;
-            matched = false;
-          }
-          ++next_update;
-        }
-        if (!live) continue;
-        const double d =
-            Distance(Position(pair.u, epoch), Position(pair.w, epoch));
-        const bool inside = d < radius;
-        if (inside && !matched) {
-          alerts.push_back({epoch, pair.u, pair.w});
-          matched = true;
-        } else if (!inside && matched) {
-          matched = false;
-        }
-      }
-    }
-  });
-
-  std::vector<AlertEvent> alerts;
-  for (const std::vector<AlertEvent>& part : partial) {
-    alerts.insert(alerts.end(), part.begin(), part.end());
-  }
-  SortAlerts(&alerts);
-  return alerts;
-}
-
-std::vector<AlertEvent> World::StreamingGroundTruth() const {
-  // The pair-major replay above needs random epoch access, which a
-  // streaming world deliberately does not have. Instead an independent
-  // rewound clone re-walks the stream epoch-major: one shared position
-  // buffer per epoch, pair chunks carrying their live/matched state across
-  // epochs. O(user_count) memory like the world itself; the distance work
-  // is identical, so this stays a small-N oracle by cost, not by limits.
+  // Epoch-major replay: one position row per epoch, shared by pair chunks
+  // that carry their live/matched state across epochs. A streaming world
+  // has no random epoch access, so an independent rewound clone re-walks
+  // its stream; a materialized world reads Position directly. Memory is
+  // O(user_count + pairs) either way. Pairs never interact, so the alert
+  // set does not depend on the chunking or the thread count.
   const std::vector<GraphUpdate>& updates = scheduled_updates();
   const std::vector<PairState> pairs = BuildPairStates(graph_, updates);
 
-  const std::unique_ptr<StreamingGenerator> gen = stream_->gen->Clone();
-  const size_t n = gen->user_count();
+  const std::unique_ptr<StreamingGenerator> gen =
+      stream_ ? stream_->gen->Clone() : nullptr;
+  const size_t n = user_count();
   std::vector<Vec2> pos(n);
 
   struct ReplayState {
@@ -256,7 +192,13 @@ std::vector<AlertEvent> World::StreamingGroundTruth() const {
   const size_t chunks = (pairs.size() + chunk - 1) / chunk;
   std::vector<std::vector<AlertEvent>> partial(chunks);
   for (int epoch = 0; epoch < epochs_; ++epoch) {
-    gen->NextEpoch(pos.data());
+    if (gen) {
+      gen->NextEpoch(pos.data());
+    } else {
+      for (size_t u = 0; u < n; ++u) {
+        pos[u] = Position(static_cast<UserId>(u), epoch);
+      }
+    }
     ParallelFor(chunks, [&](size_t c) {
       const size_t lo = c * chunk;
       const size_t hi = std::min(lo + chunk, pairs.size());
@@ -267,8 +209,8 @@ std::vector<AlertEvent> World::StreamingGroundTruth() const {
                updates[pair.updates[st.next_update]].epoch <= epoch) {
           const GraphUpdate& up = updates[pair.updates[st.next_update]];
           if (up.insert) {
-            if (!st.live) {
-              st.live = true;
+            if (!st.live) {  // Inserting an already-live edge keeps the
+              st.live = true;  // old radius.
               st.radius = up.alert_radius;
             }
           } else {

@@ -78,7 +78,6 @@ class World {
                     std::vector<Vec2>* out) const;
 
   const InterestGraph& graph() const { return graph_; }
-  const std::vector<Trajectory>& trajectories() const { return trajectories_; }
 
   /// Schedules a graph insertion/deletion; updates apply at epoch start.
   /// Appends in O(1) and marks the schedule dirty — the epoch-ordered
@@ -115,8 +114,6 @@ class World {
     std::vector<Vec2> ring;
     int generated = 0;  // Epochs emitted since the last rewind.
   };
-
-  std::vector<AlertEvent> StreamingGroundTruth() const;
 
   std::vector<Trajectory> trajectories_;
   InterestGraph graph_;

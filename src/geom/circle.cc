@@ -12,8 +12,4 @@ double DistanceCircleToCircle(const Circle& a, const Circle& b) {
   return std::max(0.0, Distance(a.center, b.center) - a.radius - b.radius);
 }
 
-double DistanceSegmentToCircle(const Segment& s, const Circle& c) {
-  return std::max(0.0, DistancePointToSegment(c.center, s) - c.radius);
-}
-
 }  // namespace proxdet

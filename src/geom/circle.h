@@ -1,7 +1,6 @@
 #ifndef PROXDET_GEOM_CIRCLE_H_
 #define PROXDET_GEOM_CIRCLE_H_
 
-#include "geom/segment.h"
 #include "geom/vec2.h"
 
 namespace proxdet {
@@ -36,9 +35,6 @@ double DistancePointToCircle(const Vec2& p, const Circle& c);
 
 /// Minimum distance between two disks (0 when overlapping).
 double DistanceCircleToCircle(const Circle& a, const Circle& b);
-
-/// Minimum distance between a segment and a disk (0 when intersecting).
-double DistanceSegmentToCircle(const Segment& s, const Circle& c);
 
 }  // namespace proxdet
 

@@ -137,11 +137,11 @@ ShardedFrontend::ShardedFrontend(const World& world, const NetConfig& config)
     // Shard endpoints carry placement group s: on the UDP backend that pins
     // both of the shard's sockets to event loop s (one loop per shard).
     shard.server = std::make_unique<ProtocolServer>(net_, world.user_count(),
-                                                    config, /*group=*/s);
+                                                    /*group=*/s);
     shard.server->set_served_filter(
         [this, s](UserId u) { return home_[u] == s; });
     shard.mesh = std::make_unique<ReliableEndpoint>(
-        net_, config.retry_timeout_s, config.max_retries,
+        net_, kRetryTimeoutS, kMaxRetries,
         [this, s](int src, Frame&& frame) {
           OnMeshFrame(s, src, std::move(frame));
         },

@@ -72,7 +72,6 @@ void SimNet::RecordOutcome(const DeliveryRecord& r) {
           static_cast<uint32_t>(r.dst));
   MixHash((static_cast<uint64_t>(r.frame_hash) << 2) |
           (r.dropped ? 2u : 0u) | (r.duplicate ? 1u : 0u));
-  if (record_log_) log_.push_back(r);
 }
 
 void SimNet::Send(int src, int dst, const uint8_t* frame, size_t size) {

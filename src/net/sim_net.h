@@ -24,8 +24,7 @@ struct LinkModel {
   double dup_rate = 0.0;   // P(a second, independently-jittered copy).
 };
 
-/// One transmission outcome, for the determinism log (optional; the running
-/// schedule_hash() covers the same information without the memory).
+/// One transmission outcome, as folded into schedule_hash().
 struct DeliveryRecord {
   double send_time = 0.0;
   double deliver_time = 0.0;  // Meaningless when dropped.
@@ -93,10 +92,6 @@ class SimNet : public NetBackend {
   /// identical hashes experienced byte-identical delivery schedules.
   uint64_t schedule_hash() const override { return schedule_hash_; }
 
-  /// When enabled, every transmission outcome is appended to log().
-  void set_record_log(bool on) { record_log_ = on; }
-  const std::vector<DeliveryRecord>& log() const { return log_; }
-
  private:
   /// Heap entry: plain data. A delivery names its frame-pool buffer; a
   /// retry timer carries its record inline.
@@ -129,8 +124,6 @@ class SimNet : public NetBackend {
   uint64_t frames_dropped_ = 0;
   uint64_t frames_duplicated_ = 0;
   uint64_t schedule_hash_ = 14695981039346656037ULL;  // FNV-1a 64 offset.
-  bool record_log_ = false;
-  std::vector<DeliveryRecord> log_;
 };
 
 }  // namespace net

@@ -19,18 +19,10 @@ UdpNetConfig MakeUdpConfig(const NetConfig& config, int shard_count) {
   return c;
 }
 
-NetConfig WithUdpTransport(NetConfig config) {
-  config.transport = TransportKind::kUdp;
-  return config;
-}
-
 }  // namespace
 
 SocketServer::SocketServer(const NetConfig& config, int shard_count)
     : net_(MakeUdpConfig(config, shard_count)) {}
-
-UdpTransportLink::UdpTransportLink(const World& world, NetConfig config)
-    : TransportLink(world, WithUdpTransport(std::move(config))) {}
 
 }  // namespace net
 }  // namespace proxdet

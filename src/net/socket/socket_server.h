@@ -30,15 +30,6 @@ class SocketServer {
   UdpNet net_;
 };
 
-/// TransportLink pinned to the UDP-loopback backend: same frontend, same
-/// frames, same ReliabilityPolicy — only the substrate changes, which is
-/// the whole point (SimNet remains the bit-exact oracle for this link's
-/// protocol outcomes).
-class UdpTransportLink : public TransportLink {
- public:
-  UdpTransportLink(const World& world, NetConfig config);
-};
-
 }  // namespace net
 }  // namespace proxdet
 

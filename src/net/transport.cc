@@ -19,7 +19,7 @@ ClientRuntime::ClientRuntime(NetBackend* net, const World* world, UserId id,
       id_(id),
       server_id_(server_id),
       trace_(config.trace),
-      endpoint_(net, config.retry_timeout_s, config.max_retries,
+      endpoint_(net, kRetryTimeoutS, kMaxRetries,
                 [this](int /*src*/, Frame&& frame) {
                   HandleFrame(std::move(frame));
                 }) {}
@@ -124,9 +124,9 @@ void ClientRuntime::HandleFrame(Frame&& frame) {
 // ProtocolServer
 
 ProtocolServer::ProtocolServer(NetBackend* net, size_t user_count,
-                               const NetConfig& config, int group)
+                               int group)
     : user_count_(user_count),
-      endpoint_(net, config.retry_timeout_s, config.max_retries,
+      endpoint_(net, kRetryTimeoutS, kMaxRetries,
                 [this](int src, Frame&& frame) {
                   HandleFrame(src, std::move(frame));
                 },

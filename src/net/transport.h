@@ -21,17 +21,20 @@ enum class TransportKind {
   kUdp,  // Real UDP loopback sockets (net/socket/; wall-clock timers).
 };
 
-/// Configuration of one transported run: the two link directions, the
-/// transport seed (independent of the workload seed) and the reliability
-/// knobs.
+/// Retransmission timeout (seconds; attempt k waits k + 1 timeouts) and
+/// retry budget of every reliable endpoint in a transported run: client,
+/// shard server and shard mesh alike.
+constexpr double kRetryTimeoutS = 0.05;
+constexpr int kMaxRetries = 64;
+
+/// Configuration of one transported run: the link directions, the transport
+/// seed (independent of the workload seed) and the serving-plane knobs.
 struct NetConfig {
   TransportKind transport = TransportKind::kSim;
   LinkModel up;    // client -> server (SimNet only)
   LinkModel down;  // server -> client (SimNet only)
   LinkModel mesh;  // shard <-> shard (SimNet only; used when shards > 1)
   uint64_t seed = 0x9e3779b97f4a7c15ULL;
-  double retry_timeout_s = 0.05;
-  int max_retries = 64;
   /// Serving-plane partition count. Users map to shards by consistent
   /// hashing on UserId (net::HashRing); each shard runs its own
   /// ProtocolServer plus a mesh endpoint for shard-to-shard traffic.
@@ -123,7 +126,7 @@ struct NetRunStats {
   /// shape the server sent — the codec exactness contract, checked live on
   /// every region/match install of the run.
   bool codec_exact = true;
-  /// A frame exhausted max_retries or a payload failed to decode; only
+  /// A frame exhausted kMaxRetries or a payload failed to decode; only
   /// reachable with a pathological config (drop_rate ~ 1).
   bool failed = false;
 };
@@ -196,8 +199,7 @@ class ProtocolServer {
  public:
   /// `group` pins the server's socket to its shard's event loop on real
   /// backends (see NetBackend::AddEndpoint).
-  ProtocolServer(NetBackend* net, size_t user_count, const NetConfig& config,
-                 int group = -1);
+  ProtocolServer(NetBackend* net, size_t user_count, int group = -1);
 
   /// Moves u's undrained report into `*out` (its window buffer is swapped
   /// with the inbox entry's, so neither side reallocates) and, when

@@ -97,16 +97,6 @@ PredictionEvaluation EvaluatePredictor(Predictor* predictor,
   return eval;
 }
 
-double CalibrateSigma(Predictor* predictor, const std::vector<Trajectory>& test,
-                      size_t input_len, size_t horizon, size_t max_queries,
-                      Rng* rng) {
-  const PredictionEvaluation eval = EvaluatePredictor(
-      predictor, test, input_len, horizon, max_queries, rng);
-  // E|N(0, sigma^2)| = sigma * sqrt(2/pi).
-  const double sqrt_half_pi = 1.2533141373155002512078826;
-  return eval.mean_error_m * sqrt_half_pi;
-}
-
 std::vector<double> CalibrateCrossTrackSigmaPerStep(
     Predictor* predictor, const std::vector<Trajectory>& test,
     size_t input_len, size_t horizon, size_t max_queries, Rng* rng) {

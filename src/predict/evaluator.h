@@ -26,14 +26,6 @@ PredictionEvaluation EvaluatePredictor(Predictor* predictor,
                                        size_t input_len, size_t output_len,
                                        size_t max_queries, Rng* rng);
 
-/// Estimates the cost-model sigma for a model on a dataset: the per-step
-/// prediction error is assumed ~ |N(0, sigma^2)| (Sec. V-A), for which
-/// E|X| = sigma * sqrt(2/pi); we invert the empirical mean error over the
-/// first `horizon` steps.
-double CalibrateSigma(Predictor* predictor, const std::vector<Trajectory>& test,
-                      size_t input_len, size_t horizon, size_t max_queries,
-                      Rng* rng);
-
 /// Estimates the sigma that matters for the *time-independent* stripe
 /// (Sec. V-A): the cross-track error — the distance from each true future
 /// position to the predicted *path* (polyline), not to the per-step

@@ -1,9 +1,7 @@
 #include "predict/hmm.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "common/rng.h"
 #include "geom/polyline.h"
 #include "predict/linear_predictor.h"
 
@@ -29,198 +27,6 @@ Vec2 GridQuantizer::CenterOf(int cell) const {
   const double cw = extent_.Width() / cols_;
   const double ch = extent_.Height() / rows_;
   return {extent_.lo.x + (col + 0.5) * cw, extent_.lo.y + (row + 0.5) * ch};
-}
-
-DiscreteHmm::DiscreteHmm(int num_hidden, int num_observations, uint64_t seed)
-    : num_hidden_(num_hidden), num_observations_(num_observations) {
-  Rng rng(seed);
-  auto random_stochastic = [&rng](std::vector<double>* v, size_t rows,
-                                  size_t cols) {
-    v->resize(rows * cols);
-    for (size_t r = 0; r < rows; ++r) {
-      double total = 0.0;
-      for (size_t c = 0; c < cols; ++c) {
-        const double x = 0.5 + rng.NextDouble();
-        (*v)[r * cols + c] = x;
-        total += x;
-      }
-      for (size_t c = 0; c < cols; ++c) (*v)[r * cols + c] /= total;
-    }
-  };
-  random_stochastic(&pi_, 1, num_hidden_);
-  random_stochastic(&a_, num_hidden_, num_hidden_);
-  random_stochastic(&b_, num_hidden_, num_observations_);
-}
-
-void DiscreteHmm::Forward(const std::vector<int>& seq,
-                          std::vector<double>* alpha,
-                          std::vector<double>* scale) const {
-  const size_t t_len = seq.size();
-  const int h = num_hidden_;
-  alpha->assign(t_len * h, 0.0);
-  scale->assign(t_len, 0.0);
-  double c0 = 0.0;
-  for (int i = 0; i < h; ++i) {
-    const double v = pi_[i] * b_[static_cast<size_t>(i) * num_observations_ + seq[0]];
-    (*alpha)[i] = v;
-    c0 += v;
-  }
-  (*scale)[0] = c0 > 0.0 ? 1.0 / c0 : 1.0;
-  for (int i = 0; i < h; ++i) (*alpha)[i] *= (*scale)[0];
-  for (size_t t = 1; t < t_len; ++t) {
-    double ct = 0.0;
-    for (int j = 0; j < h; ++j) {
-      double acc = 0.0;
-      for (int i = 0; i < h; ++i) {
-        acc += (*alpha)[(t - 1) * h + i] * a_[static_cast<size_t>(i) * h + j];
-      }
-      const double v =
-          acc * b_[static_cast<size_t>(j) * num_observations_ + seq[t]];
-      (*alpha)[t * h + j] = v;
-      ct += v;
-    }
-    (*scale)[t] = ct > 0.0 ? 1.0 / ct : 1.0;
-    for (int j = 0; j < h; ++j) (*alpha)[t * h + j] *= (*scale)[t];
-  }
-}
-
-void DiscreteHmm::Backward(const std::vector<int>& seq,
-                           const std::vector<double>& scale,
-                           std::vector<double>* beta) const {
-  const size_t t_len = seq.size();
-  const int h = num_hidden_;
-  beta->assign(t_len * h, 0.0);
-  for (int i = 0; i < h; ++i) (*beta)[(t_len - 1) * h + i] = scale[t_len - 1];
-  for (size_t t = t_len - 1; t-- > 0;) {
-    for (int i = 0; i < h; ++i) {
-      double acc = 0.0;
-      for (int j = 0; j < h; ++j) {
-        acc += a_[static_cast<size_t>(i) * h + j] *
-               b_[static_cast<size_t>(j) * num_observations_ + seq[t + 1]] *
-               (*beta)[(t + 1) * h + j];
-      }
-      (*beta)[t * h + i] = acc * scale[t];
-    }
-  }
-}
-
-void DiscreteHmm::Train(const std::vector<std::vector<int>>& sequences,
-                        int iterations) {
-  const int h = num_hidden_;
-  const int o = num_observations_;
-  for (int iter = 0; iter < iterations; ++iter) {
-    std::vector<double> pi_acc(h, 1e-8);
-    std::vector<double> a_num(static_cast<size_t>(h) * h, 1e-8);
-    std::vector<double> a_den(h, 1e-8 * h);
-    std::vector<double> b_num(static_cast<size_t>(h) * o, 1e-8);
-    std::vector<double> b_den(h, 1e-8 * o);
-    for (const auto& seq : sequences) {
-      if (seq.size() < 2) continue;
-      std::vector<double> alpha, scale, beta;
-      Forward(seq, &alpha, &scale);
-      Backward(seq, scale, &beta);
-      const size_t t_len = seq.size();
-      for (size_t t = 0; t < t_len; ++t) {
-        // gamma_t(i) proportional to alpha_t(i) * beta_t(i) / scale_t.
-        double norm = 0.0;
-        for (int i = 0; i < h; ++i) {
-          norm += alpha[t * h + i] * beta[t * h + i] / scale[t];
-        }
-        if (norm <= 0.0) continue;
-        for (int i = 0; i < h; ++i) {
-          const double gamma = alpha[t * h + i] * beta[t * h + i] /
-                               (scale[t] * norm);
-          if (t == 0) pi_acc[i] += gamma;
-          b_num[static_cast<size_t>(i) * o + seq[t]] += gamma;
-          b_den[i] += gamma;
-          if (t + 1 < t_len) a_den[i] += gamma;
-        }
-        if (t + 1 < t_len) {
-          // xi_t(i, j): expected transitions.
-          double xi_norm = 0.0;
-          for (int i = 0; i < h; ++i) {
-            for (int j = 0; j < h; ++j) {
-              xi_norm += alpha[t * h + i] * a_[static_cast<size_t>(i) * h + j] *
-                         b_[static_cast<size_t>(j) * o + seq[t + 1]] *
-                         beta[(t + 1) * h + j];
-            }
-          }
-          if (xi_norm > 0.0) {
-            for (int i = 0; i < h; ++i) {
-              for (int j = 0; j < h; ++j) {
-                const double xi =
-                    alpha[t * h + i] * a_[static_cast<size_t>(i) * h + j] *
-                    b_[static_cast<size_t>(j) * o + seq[t + 1]] *
-                    beta[(t + 1) * h + j] / xi_norm;
-                a_num[static_cast<size_t>(i) * h + j] += xi;
-              }
-            }
-          }
-        }
-      }
-    }
-    // M step.
-    double pi_total = 0.0;
-    for (double v : pi_acc) pi_total += v;
-    for (int i = 0; i < h; ++i) pi_[i] = pi_acc[i] / pi_total;
-    for (int i = 0; i < h; ++i) {
-      for (int j = 0; j < h; ++j) {
-        a_[static_cast<size_t>(i) * h + j] =
-            a_num[static_cast<size_t>(i) * h + j] / a_den[i];
-      }
-      for (int ob = 0; ob < o; ++ob) {
-        b_[static_cast<size_t>(i) * o + ob] =
-            b_num[static_cast<size_t>(i) * o + ob] / b_den[i];
-      }
-    }
-  }
-}
-
-double DiscreteHmm::LogLikelihood(const std::vector<int>& sequence) const {
-  if (sequence.empty()) return 0.0;
-  std::vector<double> alpha, scale;
-  Forward(sequence, &alpha, &scale);
-  double ll = 0.0;
-  for (double c : scale) ll -= std::log(c);
-  return ll;
-}
-
-std::vector<double> DiscreteHmm::Posterior(
-    const std::vector<int>& sequence) const {
-  std::vector<double> alpha, scale;
-  Forward(sequence, &alpha, &scale);
-  const size_t t_last = sequence.size() - 1;
-  std::vector<double> post(num_hidden_);
-  double total = 0.0;
-  for (int i = 0; i < num_hidden_; ++i) {
-    post[i] = alpha[t_last * num_hidden_ + i];
-    total += post[i];
-  }
-  if (total > 0.0) {
-    for (double& v : post) v /= total;
-  }
-  return post;
-}
-
-std::vector<double> DiscreteHmm::PredictObservation(
-    std::vector<double> posterior, int steps_ahead) const {
-  const int h = num_hidden_;
-  for (int s = 0; s < steps_ahead; ++s) {
-    std::vector<double> next(h, 0.0);
-    for (int i = 0; i < h; ++i) {
-      for (int j = 0; j < h; ++j) {
-        next[j] += posterior[i] * a_[static_cast<size_t>(i) * h + j];
-      }
-    }
-    posterior.swap(next);
-  }
-  std::vector<double> obs(num_observations_, 0.0);
-  for (int i = 0; i < h; ++i) {
-    for (int ob = 0; ob < num_observations_; ++ob) {
-      obs[ob] += posterior[i] * b_[static_cast<size_t>(i) * num_observations_ + ob];
-    }
-  }
-  return obs;
 }
 
 HmmPredictor::HmmPredictor(int grid_rows, int grid_cols)

@@ -30,56 +30,10 @@ class GridQuantizer {
   int cols_ = 1;
 };
 
-/// Generic discrete HMM with Baum-Welch (EM) training and scaled
-/// forward/backward. Provided as a first-class library component; the
-/// grid-state HmmPredictor below is the degenerate fully-observed case
-/// (states = cells), for which Baum-Welch reduces to transition counting.
-class DiscreteHmm {
- public:
-  DiscreteHmm(int num_hidden, int num_observations, uint64_t seed);
-
-  /// EM training on observation sequences; `iterations` full passes.
-  void Train(const std::vector<std::vector<int>>& sequences, int iterations);
-
-  /// Log-likelihood of a sequence under the current parameters.
-  double LogLikelihood(const std::vector<int>& sequence) const;
-
-  /// Posterior over hidden states after observing `sequence` (scaled
-  /// forward pass).
-  std::vector<double> Posterior(const std::vector<int>& sequence) const;
-
-  /// Distribution over observations `steps_ahead` ticks after the posterior
-  /// state `posterior`.
-  std::vector<double> PredictObservation(std::vector<double> posterior,
-                                         int steps_ahead) const;
-
-  int num_hidden() const { return num_hidden_; }
-  int num_observations() const { return num_observations_; }
-  double transition(int i, int j) const {
-    return a_[static_cast<size_t>(i) * num_hidden_ + j];
-  }
-  double emission(int i, int o) const {
-    return b_[static_cast<size_t>(i) * num_observations_ + o];
-  }
-
- private:
-  /// Scaled forward pass; returns per-tick scaling factors and fills alpha.
-  void Forward(const std::vector<int>& seq, std::vector<double>* alpha,
-               std::vector<double>* scale) const;
-  void Backward(const std::vector<int>& seq, const std::vector<double>& scale,
-                std::vector<double>* beta) const;
-
-  int num_hidden_;
-  int num_observations_;
-  std::vector<double> pi_;  // Initial distribution, H.
-  std::vector<double> a_;   // Transition, H x H.
-  std::vector<double> b_;   // Emission, H x O.
-};
-
 /// The paper's trajectory HMM: grid cells are states, the transition
 /// structure is learned from historical trajectories (for fully observed
 /// states the Baum-Welch MLE is exactly the transition count matrix), and
-/// the forward algorithm's most-probable path supplies the future cells.
+/// the future cells follow the most frequent transition out of each cell.
 /// We keep second-order (previous-cell conditioned) counts where supported
 /// so the model is direction-aware, falling back to first-order then to
 /// dwell. Cell-center paths are resampled at the user's recent speed to

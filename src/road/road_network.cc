@@ -182,13 +182,6 @@ std::vector<NodeId> RoadNetwork::ShortestPath(NodeId from, NodeId to) const {
   return path;
 }
 
-Polyline RoadNetwork::PathGeometry(const std::vector<NodeId>& path) const {
-  std::vector<Vec2> pts;
-  pts.reserve(path.size());
-  for (NodeId id : path) pts.push_back(nodes_[id]);
-  return Polyline(std::move(pts));
-}
-
 RoadClass RoadNetwork::EdgeClass(NodeId from, NodeId to) const {
   for (const RoadEdge& e : adjacency_[from]) {
     if (e.to == to) return e.road_class;

@@ -6,7 +6,6 @@
 
 #include "common/rng.h"
 #include "geom/bbox.h"
-#include "geom/polyline.h"
 #include "geom/vec2.h"
 
 namespace proxdet {
@@ -66,9 +65,6 @@ class RoadNetwork {
   /// Shortest path by length from `from` to `to`. Returns an empty vector
   /// when unreachable; otherwise the node sequence including both ends.
   std::vector<NodeId> ShortestPath(NodeId from, NodeId to) const;
-
-  /// Geometry of a node path as a polyline.
-  Polyline PathGeometry(const std::vector<NodeId>& path) const;
 
   /// Road class of the edge from `from` to `to` (kLocal when absent).
   RoadClass EdgeClass(NodeId from, NodeId to) const;

@@ -1,7 +1,6 @@
 #include "traj/trajectory.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace proxdet {
 
@@ -18,11 +17,6 @@ double Trajectory::SpeedAt(size_t i) const {
   return Distance(points_[i - 1], points_[i]) / dt_;
 }
 
-Vec2 Trajectory::HeadingAt(size_t i) const {
-  if (i == 0 || i >= points_.size()) return Vec2();
-  return (points_[i] - points_[i - 1]).Normalized();
-}
-
 double Trajectory::PathLength() const {
   double acc = 0.0;
   for (size_t i = 1; i < points_.size(); ++i) {
@@ -31,35 +25,11 @@ double Trajectory::PathLength() const {
   return acc;
 }
 
-Trajectory Trajectory::Slice(size_t begin, size_t count) const {
-  begin = std::min(begin, points_.size());
-  count = std::min(count, points_.size() - begin);
-  return Trajectory(
-      std::vector<Vec2>(points_.begin() + begin, points_.begin() + begin + count),
-      dt_);
-}
-
 std::vector<Vec2> Trajectory::RecentWindow(size_t end, size_t count) const {
   if (points_.empty()) return {};
   end = std::min(end, points_.size() - 1);
   const size_t begin = end + 1 >= count ? end + 1 - count : 0;
   return std::vector<Vec2>(points_.begin() + begin, points_.begin() + end + 1);
-}
-
-Trajectory Trajectory::ResampledTo(double new_dt) const {
-  if (points_.size() < 2 || new_dt <= 0.0 || dt_ <= 0.0) {
-    return Trajectory(points_, new_dt);
-  }
-  const double total_time = dt_ * static_cast<double>(points_.size() - 1);
-  std::vector<Vec2> out;
-  for (double t = 0.0; t <= total_time + 1e-9; t += new_dt) {
-    const double idx = std::min(t / dt_, static_cast<double>(points_.size() - 1));
-    const size_t lo = static_cast<size_t>(idx);
-    const size_t hi = std::min(lo + 1, points_.size() - 1);
-    const double frac = idx - static_cast<double>(lo);
-    out.push_back(points_[lo] + (points_[hi] - points_[lo]) * frac);
-  }
-  return Trajectory(std::move(out), new_dt);
 }
 
 }  // namespace proxdet

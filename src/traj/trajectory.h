@@ -27,22 +27,12 @@ class Trajectory {
   /// Instantaneous speed entering tick i (0 for i == 0), in m/s.
   double SpeedAt(size_t i) const;
 
-  /// Unit heading entering tick i; (0,0) when stationary or i == 0.
-  Vec2 HeadingAt(size_t i) const;
-
   /// Total traveled length in meters.
   double PathLength() const;
-
-  /// Contiguous sub-trajectory [begin, begin+count).
-  Trajectory Slice(size_t begin, size_t count) const;
 
   /// Recent window: the last `count` points ending at index `end`
   /// (inclusive); shorter near the start.
   std::vector<Vec2> RecentWindow(size_t end, size_t count) const;
-
-  /// Linear re-interpolation to a new tick; used when mixing data sources
-  /// with different sampling rates (the real datasets sample at 1 s-3.1 min).
-  Trajectory ResampledTo(double new_dt) const;
 
  private:
   std::vector<Vec2> points_;

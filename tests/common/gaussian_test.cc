@@ -2,22 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace proxdet {
 namespace {
-
-TEST(GaussianTest, PdfPeakAtZero) {
-  EXPECT_NEAR(NormalPdf(0.0), 0.3989422804, 1e-9);
-  EXPECT_GT(NormalPdf(0.0), NormalPdf(0.5));
-  EXPECT_DOUBLE_EQ(NormalPdf(1.0), NormalPdf(-1.0));
-}
-
-TEST(GaussianTest, CdfKnownValues) {
-  EXPECT_NEAR(NormalCdf(0.0), 0.5, 1e-12);
-  EXPECT_NEAR(NormalCdf(1.959963985), 0.975, 1e-6);
-  EXPECT_NEAR(NormalCdf(-1.959963985), 0.025, 1e-6);
-}
 
 TEST(FoldedNormalTest, ZeroAndNegativeRadius) {
   EXPECT_EQ(FoldedNormalCdf(0.0, 10.0), 0.0);
@@ -50,18 +36,6 @@ TEST(FoldedNormalTest, ScalesWithSigma) {
 
 TEST(FoldedNormalTest, TendsToOne) {
   EXPECT_NEAR(FoldedNormalCdf(100.0, 1.0), 1.0, 1e-12);
-}
-
-TEST(FoldedNormalQuantileTest, InvertsCdf) {
-  for (const double p : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
-    const double s = FoldedNormalQuantile(p, 3.0);
-    EXPECT_NEAR(FoldedNormalCdf(s, 3.0), p, 1e-6);
-  }
-}
-
-TEST(FoldedNormalQuantileTest, Extremes) {
-  EXPECT_EQ(FoldedNormalQuantile(0.0, 2.0), 0.0);
-  EXPECT_GT(FoldedNormalQuantile(1.0, 2.0), 10.0);
 }
 
 }  // namespace

@@ -17,7 +17,8 @@ TEST(MatrixTest, IdentityAndMultiply) {
   a.At(1, 0) = 4;
   a.At(1, 1) = 5;
   a.At(1, 2) = 6;
-  const Matrix i3 = Matrix::Identity(3);
+  Matrix i3(3, 3);
+  for (size_t i = 0; i < 3; ++i) i3.At(i, i) = 1.0;
   const Matrix prod = a * i3;
   for (size_t r = 0; r < 2; ++r)
     for (size_t c = 0; c < 3; ++c) EXPECT_DOUBLE_EQ(prod.At(r, c), a.At(r, c));
@@ -30,17 +31,6 @@ TEST(MatrixTest, TransposeRoundTrip) {
   const Matrix att = a.Transpose().Transpose();
   for (size_t r = 0; r < 2; ++r)
     for (size_t c = 0; c < 3; ++c) EXPECT_DOUBLE_EQ(att.At(r, c), a.At(r, c));
-}
-
-TEST(MatrixTest, AddSubtractScale) {
-  Matrix a(2, 2, 1.0);
-  Matrix b(2, 2, 2.0);
-  const Matrix sum = a + b;
-  EXPECT_DOUBLE_EQ(sum.At(1, 1), 3.0);
-  const Matrix diff = b - a;
-  EXPECT_DOUBLE_EQ(diff.At(0, 0), 1.0);
-  const Matrix scaled = b.Scaled(2.5);
-  EXPECT_DOUBLE_EQ(scaled.At(0, 1), 5.0);
 }
 
 TEST(MatrixTest, ApplyMatchesManual) {
@@ -106,21 +96,6 @@ TEST(SolveTest, RandomSystemsRoundTrip) {
     ASSERT_TRUE(SolveLinearSystem(a, b, &x));
     for (size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], truth[i], 1e-8);
   }
-}
-
-TEST(InvertTest, InverseTimesSelfIsIdentity) {
-  Matrix a(3, 3);
-  Rng rng(9);
-  for (size_t r = 0; r < 3; ++r) {
-    for (size_t c = 0; c < 3; ++c) a.At(r, c) = rng.Uniform(-2, 2);
-    a.At(r, r) += 5.0;
-  }
-  Matrix inv;
-  ASSERT_TRUE(Invert(a, &inv));
-  const Matrix prod = a * inv;
-  for (size_t r = 0; r < 3; ++r)
-    for (size_t c = 0; c < 3; ++c)
-      EXPECT_NEAR(prod.At(r, c), r == c ? 1.0 : 0.0, 1e-9);
 }
 
 TEST(RidgeTest, RecoverOverdeterminedFit) {

@@ -101,17 +101,6 @@ TEST(RngTest, WeightedIndexDegenerateAllZeros) {
   EXPECT_EQ(rng.WeightedIndex(weights), 2u);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(31);
-  Rng child = parent.Fork();
-  // The child stream must not replay the parent's.
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (parent.NextU64() == child.NextU64()) ++same;
-  }
-  EXPECT_LT(same, 2);
-}
-
 TEST(RngTest, NextIndexStaysBelowBound) {
   Rng rng(37);
   for (int i = 0; i < 1000; ++i) EXPECT_LT(rng.NextIndex(17), 17u);

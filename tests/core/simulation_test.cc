@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bench_support/experiment.h"
+#include "bench_support/sweep_runner.h"
 
 namespace proxdet {
 namespace {
@@ -93,26 +94,40 @@ TEST(SimulationTest, DefaultExperimentConfigMatchesTable2Defaults) {
   EXPECT_EQ(config.dataset, DatasetKind::kBeijingTaxi);
 }
 
-TEST(SimulationTest, RunSuiteReturnsResultsInMethodOrder) {
-  const Workload workload = BuildWorkload(TinyConfig(DatasetKind::kGeoLife));
-  const std::vector<Method> methods{Method::kNaive, Method::kCmd};
-  const std::vector<RunResult> results = RunSuite(methods, workload);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].method, Method::kNaive);
-  EXPECT_EQ(results[1].method, Method::kCmd);
-  EXPECT_TRUE(results[0].alerts_exact);
-  EXPECT_TRUE(results[1].alerts_exact);
-}
+TEST(SweepRunnerTest, GroupTableRendersSeries) {
+  // Two groups, interleaved: a group's table holds only its own points, in
+  // insertion order, with one column per method in method order.
+  SweepRunner runner("group_table_test",
+                     std::vector<Method>{Method::kNaive, Method::kCmd});
+  WorkloadConfig geolife = TinyConfig(DatasetKind::kGeoLife);
+  geolife.num_users = 20;
+  geolife.epochs = 20;
+  WorkloadConfig truck = geolife;
+  truck.dataset = DatasetKind::kTruck;
+  runner.AddPoint("GeoLife", "20", geolife);
+  runner.AddPoint("Truck", "20", truck);
+  geolife.num_users = 30;
+  runner.AddPoint("GeoLife", "30", geolife);
+  const std::vector<std::vector<RunResult>>& grid = runner.Run();
+  ASSERT_EQ(grid.size(), 3u);
+  EXPECT_EQ(runner.groups(), (std::vector<std::string>{"GeoLife", "Truck"}));
+  EXPECT_EQ(runner.GroupRows("GeoLife"), (std::vector<size_t>{0, 2}));
 
-TEST(SimulationTest, FigureTableRendersSeries) {
-  const Workload workload = BuildWorkload(TinyConfig(DatasetKind::kGeoLife));
-  const std::vector<Method> methods{Method::kNaive};
-  std::vector<std::vector<RunResult>> results{RunSuite(methods, workload)};
-  const Table table =
-      MakeFigureTable("demo", "x", {"10"}, methods, results);
-  const std::string rendered = table.ToString();
-  EXPECT_NE(rendered.find("Naive"), std::string::npos);
-  EXPECT_NE(rendered.find("10"), std::string::npos);
+  std::string expected = "users,Naive,CMD\n";
+  for (const size_t p : {size_t{0}, size_t{2}}) {
+    ASSERT_EQ(grid[p].size(), 2u);
+    EXPECT_EQ(grid[p][0].method, Method::kNaive);
+    EXPECT_EQ(grid[p][1].method, Method::kCmd);
+    expected += p == 0 ? "20" : "30";
+    for (const RunResult& r : grid[p]) {
+      EXPECT_TRUE(r.alerts_exact);
+      expected += "," + std::to_string(r.stats.TotalMessages());
+    }
+    expected += "\n";
+  }
+  const Table table = runner.GroupTable("demo", "users", "GeoLife");
+  EXPECT_EQ(table.ToCsv(), expected);
+  EXPECT_NE(table.ToString().find("demo"), std::string::npos);
 }
 
 TEST(SimulationTest, StripeLinearUsesLinearPredictor) {

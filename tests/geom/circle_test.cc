@@ -33,13 +33,6 @@ TEST(CircleTest, CircleCircleDistance) {
   EXPECT_DOUBLE_EQ(DistanceCircleToCircle(a, overlap), 0.0);
 }
 
-TEST(CircleTest, SegmentCircleDistance) {
-  const Circle c{{0, 5}, 2.0};
-  EXPECT_DOUBLE_EQ(DistanceSegmentToCircle({{-10, 0}, {10, 0}}, c), 3.0);
-  // Segment grazing the disk.
-  EXPECT_DOUBLE_EQ(DistanceSegmentToCircle({{-10, 4}, {10, 4}}, c), 0.0);
-}
-
 TEST(CircleTest, ZeroRadiusIsAPoint) {
   const Circle c{{1, 1}, 0.0};
   EXPECT_TRUE(c.Contains({1, 1}));

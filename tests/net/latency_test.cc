@@ -396,8 +396,6 @@ TEST(FlightRecorderTest, DumpsOnInducedReliabilityGiveUp) {
   NetConfig config;
   config.trace = true;
   config.up.drop_rate = 1.0;
-  config.max_retries = 2;
-  config.retry_timeout_s = 0.01;
   WorkloadConfig tiny = TinyConfig();
   tiny.num_users = 6;
   tiny.epochs = 3;

@@ -163,7 +163,6 @@ TEST(TransportTest, DeliveryFailureIsSurfacedNotSilent) {
   NetConfig dead;
   dead.up.drop_rate = 1.0;
   dead.down.drop_rate = 1.0;
-  dead.max_retries = 2;
   const TransportedRunResult result =
       RunTransportedMethod(Method::kNaive, workload, dead);
   EXPECT_TRUE(result.net.failed);

@@ -87,25 +87,17 @@ TEST(EvaluatorTest, SkipsTooShortTrajectories) {
   EXPECT_EQ(eval.mean_error_m, 0.0);
 }
 
-TEST(EvaluatorTest, SigmaCalibrationMatchesFoldedMean) {
-  // Constant miss of 7 m: sigma = 7 * sqrt(pi/2).
-  const Trajectory line = MakeLine();
-  OraclePlusOffset oracle(&line, {0, 7});
-  Rng rng(5);
-  const double sigma = CalibrateSigma(&oracle, {line}, 5, 8, 50, &rng);
-  EXPECT_NEAR(sigma, 7.0 * 1.2533141373, 1e-6);
-}
-
 TEST(EvaluatorTest, CrossTrackIgnoresAlongTrackError) {
   // Predict the truth shifted FORWARD along the path: point error is large
   // but the predicted path overlaps the true one, so cross-track ~ 0.
   const Trajectory line = MakeLine();
   OraclePlusOffset ahead(&line, {50, 0});  // 5 steps ahead along +x.
   Rng rng(6);
-  const double point_sigma = CalibrateSigma(&ahead, {line}, 5, 8, 50, &rng);
+  const double point_error =
+      EvaluatePredictor(&ahead, {line}, 5, 8, 50, &rng).mean_error_m;
   const double cross_sigma =
       CalibrateCrossTrackSigma(&ahead, {line}, 5, 8, 50, &rng);
-  EXPECT_GT(point_sigma, 40.0);
+  EXPECT_GT(point_error, 40.0);
   EXPECT_NEAR(cross_sigma, 0.0, 1e-6);
 }
 

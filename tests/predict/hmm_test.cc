@@ -26,60 +26,6 @@ TEST(GridQuantizerTest, RowMajorLayout) {
   EXPECT_EQ(q.CellOf({5, 95}), 90);
 }
 
-TEST(DiscreteHmmTest, RowsAreStochasticAfterTraining) {
-  DiscreteHmm hmm(3, 4, 7);
-  const std::vector<std::vector<int>> seqs{{0, 1, 2, 3, 0, 1, 2, 3},
-                                           {0, 1, 2, 3, 0, 1, 2, 3}};
-  hmm.Train(seqs, 5);
-  for (int i = 0; i < 3; ++i) {
-    double row_a = 0.0;
-    double row_b = 0.0;
-    for (int j = 0; j < 3; ++j) row_a += hmm.transition(i, j);
-    for (int o = 0; o < 4; ++o) row_b += hmm.emission(i, o);
-    EXPECT_NEAR(row_a, 1.0, 1e-6);
-    EXPECT_NEAR(row_b, 1.0, 1e-6);
-  }
-}
-
-TEST(DiscreteHmmTest, TrainingIncreasesLikelihood) {
-  DiscreteHmm hmm(3, 5, 11);
-  std::vector<std::vector<int>> seqs;
-  for (int s = 0; s < 4; ++s) {
-    std::vector<int> seq;
-    for (int i = 0; i < 30; ++i) seq.push_back((i + s) % 5);
-    seqs.push_back(std::move(seq));
-  }
-  const double before = hmm.LogLikelihood(seqs[0]);
-  hmm.Train(seqs, 15);
-  const double after = hmm.LogLikelihood(seqs[0]);
-  EXPECT_GT(after, before);
-}
-
-TEST(DiscreteHmmTest, PosteriorIsDistribution) {
-  DiscreteHmm hmm(4, 3, 13);
-  hmm.Train({{0, 1, 2, 0, 1, 2}}, 5);
-  const std::vector<double> post = hmm.Posterior({0, 1, 2});
-  double total = 0.0;
-  for (const double p : post) {
-    EXPECT_GE(p, 0.0);
-    total += p;
-  }
-  EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
-TEST(DiscreteHmmTest, PredictObservationCyclic) {
-  // Deterministic cycle 0 -> 1 -> 2 -> 0: the HMM should put most predicted
-  // mass on the correct next symbol.
-  DiscreteHmm hmm(3, 3, 17);
-  std::vector<int> cyc;
-  for (int i = 0; i < 60; ++i) cyc.push_back(i % 3);
-  hmm.Train({cyc}, 40);
-  const std::vector<double> post = hmm.Posterior({0, 1, 2, 0, 1});
-  const std::vector<double> obs = hmm.PredictObservation(post, 1);
-  EXPECT_GT(obs[2], obs[0]);
-  EXPECT_GT(obs[2], obs[1]);
-}
-
 Trajectory MakeLoopTrajectory(int laps) {
   // A rectangular circuit on a 1000m extent; second-order transitions make
   // the direction around the loop predictable.

@@ -28,28 +28,6 @@ TEST(TrajectoryTest, SpeedAndLength) {
   EXPECT_DOUBLE_EQ(t.SpeedAt(0), 0.0);  // No previous point.
 }
 
-TEST(TrajectoryTest, HeadingUnitVector) {
-  const Trajectory t = MakeStraight();
-  EXPECT_EQ(t.HeadingAt(4), (Vec2{1, 0}));
-  EXPECT_EQ(t.HeadingAt(0), (Vec2{0, 0}));
-}
-
-TEST(TrajectoryTest, Slice) {
-  const Trajectory t = MakeStraight();
-  const Trajectory s = t.Slice(2, 3);
-  ASSERT_EQ(s.size(), 3u);
-  EXPECT_EQ(s.at(0), (Vec2{2, 0}));
-  EXPECT_EQ(s.at(2), (Vec2{4, 0}));
-}
-
-TEST(TrajectoryTest, SliceClampsAtEnd) {
-  const Trajectory t = MakeStraight();
-  const Trajectory s = t.Slice(9, 100);
-  EXPECT_EQ(s.size(), 2u);
-  const Trajectory empty = t.Slice(100, 5);
-  EXPECT_TRUE(empty.empty());
-}
-
 TEST(TrajectoryTest, RecentWindow) {
   const Trajectory t = MakeStraight();
   const std::vector<Vec2> w = t.RecentWindow(5, 3);
@@ -63,29 +41,6 @@ TEST(TrajectoryTest, RecentWindowTruncatesNearStart) {
   const std::vector<Vec2> w = t.RecentWindow(1, 5);
   ASSERT_EQ(w.size(), 2u);
   EXPECT_EQ(w.front(), (Vec2{0, 0}));
-}
-
-TEST(TrajectoryTest, ResampleToFinerGrid) {
-  const Trajectory t = MakeStraight();
-  const Trajectory fine = t.ResampledTo(0.5);
-  EXPECT_DOUBLE_EQ(fine.dt(), 0.5);
-  EXPECT_EQ(fine.size(), 21u);
-  EXPECT_EQ(fine.at(1), (Vec2{0.5, 0}));  // Linear interpolation.
-}
-
-TEST(TrajectoryTest, ResampleToCoarserGrid) {
-  const Trajectory t = MakeStraight();
-  const Trajectory coarse = t.ResampledTo(2.0);
-  EXPECT_EQ(coarse.size(), 6u);
-  EXPECT_EQ(coarse.at(1), (Vec2{2, 0}));
-}
-
-TEST(TrajectoryTest, ResamplePreservesEndpoints) {
-  const Trajectory t = MakeStraight();
-  const Trajectory r = t.ResampledTo(3.0);
-  EXPECT_EQ(r.at(0), t.at(0));
-  // Final sample lands at t=9 (10 not divisible by 3): within last segment.
-  EXPECT_NEAR(r.points().back().x, 9.0, 1e-9);
 }
 
 }  // namespace
