@@ -38,7 +38,7 @@
 # perturb.
 #
 # A third leg runs the `simd`, `pair_check`, `core`, `engine`, `predict`,
-# `geom`, `common` and `substrate` suites under
+# `geom`, `common`, `substrate`, `obs` and `scale` suites under
 # -DPROXDET_SANITIZE=undefined: the branchless lane arithmetic
 # in the vector kernels (masked selects, safe-divisor guards) must not hide
 # UB — every lane's intermediate math has to be well-defined even where a
@@ -53,7 +53,10 @@
 # lanes are pointer offsets into its anchor arrays; `common` (RNG, the
 # folded-normal CDF, the small dense linear algebra RMF fits with, the
 # ASCII tables) and `substrate` (road network, trajectories, interest
-# graph) are the plain numeric code everything else stands on.
+# graph) are the plain numeric code everything else stands on. `obs`
+# covers the quantile sketch's signed bucket offsets beside its INT32_MIN /
+# INT32_MAX sentinel buckets, and `scale` the streaming world's ring index
+# arithmetic.
 #
 # A fourth leg runs the protocol and observability suites — `net`, `shard`,
 # `latency`, `socket` and `obs` — plus `geom`, `common` and `substrate`,
@@ -99,7 +102,7 @@ PROXDET_SIMD_FORCE=scalar \
 cmake -B "$UBSAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=undefined "$@"
 cmake --build "$UBSAN_BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$UBSAN_BUILD_DIR" \
-  -L 'simd|pair_check|core|engine|predict|geom|common|substrate' \
+  -L 'simd|pair_check|core|engine|predict|geom|common|substrate|obs|scale' \
   --output-on-failure -j "$JOBS"
 
 cmake -B "$ASAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=address "$@"

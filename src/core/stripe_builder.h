@@ -69,13 +69,17 @@ struct StripeBuildResult {
   Stripe stripe;
   int m = 0;  // Number of predicted steps enclosed.
   RadiusSolution solution;
-  /// SoA lanes staged for this build (point-like constraints; concatenated
-  /// stripe segments) and the number of batched-kernel dispatches issued.
-  /// The builder itself is obs-free; the policy layer surfaces these as the
-  /// simd.batch.stripe_* histograms and the simd.dispatch.* counter.
+  /// SoA lanes the friends offer for staging (point-like constraints;
+  /// concatenated stripe segments), counted before screening, and the
+  /// number of batched-kernel dispatches issued. The builder itself is
+  /// obs-free; the policy layer surfaces these as the simd.batch.stripe_*
+  /// histograms and the simd.dispatch.* counter.
   size_t staged_point_lanes = 0;
   size_t staged_segment_lanes = 0;
   size_t kernel_dispatches = 0;
+  /// Friends screened out before staging: provably never a minimum of
+  /// Algorithm 2 over this build (see BuildPredictiveStripe).
+  size_t screened_friends = 0;
   /// Radius solves (one per horizon tried, m = 0 included) and the exact
   /// E_m evaluations they made (RadiusSolution::exact_evaluations).
   size_t radius_solves = 0;
@@ -89,6 +93,11 @@ struct StripeBuildResult {
 /// onto the anchor grid (geom/anchor_grid.h, sub-4 mm, far below sigma), so
 /// the stripe ships as the wire's quantized-delta polyline as-is; all
 /// clearance and radius math sees the snapped anchors.
+///
+/// Friends whose clearance provably can never be one of the minima the
+/// algorithm reads (the anchor prune, the radius bound, E_p) are screened
+/// out before staging, from a box bound over the whole horizon; the result
+/// is bit-identical to the unscreened algorithm's (DESIGN.md §2.2).
 ///
 /// Guarantee: the returned stripe keeps distance >= alert_radius from every
 /// constraint region (E_p >= 0 by construction), so installing it preserves

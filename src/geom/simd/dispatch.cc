@@ -149,22 +149,6 @@ bool VerifyTable(const KernelTable& t) {
     ref.circle_pairs_gap_below(px, py, r1, qx, qy, r2, thr, n, want_m);
     if (!BitEq8(got_m, want_m, n)) return false;
   }
-
-  // Kalman predict: the constant-velocity F (zeros exercise operator*'s
-  // skip) on a random state/covariance, iterated a few steps so covariance
-  // terms mix.
-  const double dt = 1.0;
-  double f[16] = {1, 0, dt, 0, 0, 1, 0, dt, 0, 0, 1, 0, 0, 0, 0, 1};
-  double q[16], st_got[4], st_want[4], cov_got[16], cov_want[16];
-  for (int i = 0; i < 16; ++i) q[i] = rng.Radius() * 1e-3;
-  for (int i = 0; i < 4; ++i) st_got[i] = st_want[i] = rng.Coord();
-  for (int i = 0; i < 16; ++i) cov_got[i] = cov_want[i] = rng.Radius();
-  for (int step = 0; step < 3; ++step) {
-    t.kalman_predict4(f, q, st_got, cov_got);
-    ref.kalman_predict4(f, q, st_want, cov_want);
-  }
-  if (std::memcmp(st_got, st_want, sizeof(st_got)) != 0) return false;
-  if (std::memcmp(cov_got, cov_want, sizeof(cov_got)) != 0) return false;
   return true;
 }
 
@@ -327,11 +311,6 @@ void CirclePairsGapBelow(const double* ax, const double* ay, const double* ar,
                          const double* thr, size_t n, uint8_t* below) {
   GetDispatch().table->circle_pairs_gap_below(ax, ay, ar, bx, by, br, thr, n,
                                               below);
-}
-
-void KalmanPredict4(const double f[16], const double q[16], double state[4],
-                    double cov[16]) {
-  GetDispatch().table->kalman_predict4(f, q, state, cov);
 }
 
 }  // namespace simd

@@ -31,7 +31,6 @@ struct KernelTable {
   void (*circle_pairs_gap_below)(const double*, const double*, const double*,
                                  const double*, const double*, const double*,
                                  const double*, size_t, uint8_t*);
-  void (*kalman_predict4)(const double*, const double*, double*, double*);
 };
 
 const KernelTable& ScalarTable();

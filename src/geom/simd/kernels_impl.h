@@ -365,61 +365,6 @@ struct Kernels {
                                   br + i, thr + i, n - i, below + i);
     }
   }
-
-  static void KalmanPredict4(const double* f, const double* q, double* state,
-                             double* cov) {
-    // Always uses 4-lane rows (the system is fixed 4x4) regardless of W;
-    // AVX-512F implies the 256-bit ops this needs.
-    typedef double kv4 __attribute__((vector_size(32)));
-    // state <- F state: Matrix::Apply's sequential per-row accumulation.
-    double s[4];
-    for (int r = 0; r < 4; ++r) {
-      double acc = 0.0;
-      for (int c = 0; c < 4; ++c) acc += f[r * 4 + c] * state[c];
-      s[r] = acc;
-    }
-    for (int r = 0; r < 4; ++r) state[r] = s[r];
-    const auto splat4 = [](double x) {
-      kv4 v;
-      for (int l = 0; l < 4; ++l) v[l] = x;
-      return v;
-    };
-    const auto load4 = [](const double* p) {
-      kv4 v;
-      __builtin_memcpy(&v, p, sizeof(v));
-      return v;
-    };
-    // Rows of cov, F^T, and Q; the lane axis is the column index, so
-    // Matrix::operator*'s k-ascending accumulation (with its v == 0.0 skip,
-    // uniform across columns) is reproduced per lane exactly.
-    kv4 covr[4], ftr[4];
-    for (int k = 0; k < 4; ++k) {
-      covr[k] = load4(cov + k * 4);
-      kv4 v;
-      for (int c = 0; c < 4; ++c) v[c] = f[c * 4 + k];
-      ftr[k] = v;
-    }
-    kv4 t1[4];
-    for (int r = 0; r < 4; ++r) {
-      kv4 acc = splat4(0.0);
-      for (int k = 0; k < 4; ++k) {
-        const double v = f[r * 4 + k];
-        if (v == 0.0) continue;
-        acc += splat4(v) * covr[k];
-      }
-      t1[r] = acc;
-    }
-    for (int r = 0; r < 4; ++r) {
-      kv4 acc = splat4(0.0);
-      for (int k = 0; k < 4; ++k) {
-        const double v = t1[r][k];
-        if (v == 0.0) continue;
-        acc += splat4(v) * ftr[k];
-      }
-      const kv4 row = acc + load4(q + r * 4);
-      __builtin_memcpy(cov + r * 4, &row, sizeof(row));
-    }
-  }
 };
 
 }  // namespace internal

@@ -96,21 +96,6 @@ inline double SqDistSegSeg(double qax, double qay, double qbx, double qby,
   return m34 < m12 ? m34 : m12;
 }
 
-/// Matrix::operator* on fixed 4x4 row-major arrays, including the
-/// v == 0.0 accumulation skip (observable in signed zeros).
-inline void Mul4(const double* a, const double* b, double* out) {
-  for (int i = 0; i < 16; ++i) out[i] = 0.0;
-  for (int r = 0; r < 4; ++r) {
-    for (int k = 0; k < 4; ++k) {
-      const double v = a[r * 4 + k];
-      if (v == 0.0) continue;
-      for (int c = 0; c < 4; ++c) {
-        out[r * 4 + c] += v * b[k * 4 + c];
-      }
-    }
-  }
-}
-
 }  // namespace
 
 void SegmentSquaredDistanceToPoints(double ax, double ay, double dx,
@@ -212,27 +197,6 @@ void CirclePairsGapBelow(const double* ax, const double* ay, const double* ar,
   }
 }
 
-void KalmanPredict4(const double f[16], const double q[16], double state[4],
-                    double cov[16]) {
-  // state <- F state: Matrix::Apply (plain accumulation, no zero skip).
-  double s[4];
-  for (int r = 0; r < 4; ++r) {
-    double acc = 0.0;
-    for (int c = 0; c < 4; ++c) acc += f[r * 4 + c] * state[c];
-    s[r] = acc;
-  }
-  for (int r = 0; r < 4; ++r) state[r] = s[r];
-  // cov <- (F cov) F^T + Q, each product with operator*'s zero skip.
-  double ft[16];
-  for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) ft[c * 4 + r] = f[r * 4 + c];
-  }
-  double t1[16], t2[16];
-  Mul4(f, cov, t1);
-  Mul4(t1, ft, t2);
-  for (int i = 0; i < 16; ++i) cov[i] = t2[i] + q[i];  // operator+
-}
-
 }  // namespace scalar
 
 namespace internal {
@@ -247,7 +211,6 @@ const KernelTable& ScalarTable() {
       &scalar::PairsWithinRadii,
       &scalar::CirclesContainPoints,
       &scalar::CirclePairsGapBelow,
-      &scalar::KalmanPredict4,
   };
   return table;
 }

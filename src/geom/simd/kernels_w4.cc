@@ -25,7 +25,6 @@ const KernelTable& W4Table() {
       &K::PairsWithinRadii,
       &K::CirclesContainPoints,
       &K::CirclePairsGapBelow,
-      &K::KalmanPredict4,
   };
   return table;
 }

@@ -131,14 +131,6 @@ void CirclePairsGapBelow(const double* ax, const double* ay, const double* ar,
                          const double* bx, const double* by, const double* br,
                          const double* thr, size_t n, uint8_t* below);
 
-/// One constant-velocity Kalman predict step on the fixed 4x4 system:
-/// state <- F state (Matrix::Apply's accumulation order) and
-/// cov <- F cov F^T + Q with Matrix::operator*'s exact semantics —
-/// including its `if (v == 0.0) continue;` accumulation skip, which is
-/// observable in the result's signed zeros. Row-major 4x4 arrays.
-void KalmanPredict4(const double f[16], const double q[16], double state[4],
-                    double cov[16]);
-
 // ---------------------------------------------------------------------------
 // Scalar reference implementations (never vectorized; the dispatch target
 // of the scalar backend, the tail loop of the vector backends, and the
@@ -168,8 +160,6 @@ void CirclesContainPoints(const double* cx, const double* cy,
 void CirclePairsGapBelow(const double* ax, const double* ay, const double* ar,
                          const double* bx, const double* by, const double* br,
                          const double* thr, size_t n, uint8_t* below);
-void KalmanPredict4(const double f[16], const double q[16], double state[4],
-                    double cov[16]);
 }  // namespace scalar
 
 }  // namespace simd

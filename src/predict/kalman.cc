@@ -1,6 +1,6 @@
 #include "predict/kalman.h"
 
-#include "geom/simd/simd.h"
+#include <algorithm>
 
 namespace proxdet {
 
@@ -30,6 +30,34 @@ void Apply4(const double* m, const double* v, double* out) {
     for (int c = 0; c < 4; ++c) acc += m[r * 4 + c] * v[c];
     out[r] = acc;
   }
+}
+
+/// state <- F state.
+void TimeUpdateState(const double* f, double* state) {
+  double next[4];
+  Apply4(f, state, next);
+  for (int r = 0; r < 4; ++r) state[r] = next[r];
+}
+
+/// state <- state + K (z - H state), the measurement update's state half.
+void CorrectState(const double* k, const Vec2& z, double* state) {
+  const double y0 = z.x - state[0];
+  const double y1 = z.y - state[1];
+  for (int row = 0; row < 4; ++row) {
+    state[row] += k[row * 2 + 0] * y0 + k[row * 2 + 1] * y1;
+  }
+}
+
+std::vector<Vec2> ForecastFrom(const double* f, const double* state,
+                               size_t steps) {
+  std::vector<Vec2> out;
+  out.reserve(steps);
+  double s[4] = {state[0], state[1], state[2], state[3]};
+  for (size_t i = 0; i < steps; ++i) {
+    TimeUpdateState(f, s);
+    out.push_back({s[0], s[1]});
+  }
+  return out;
 }
 
 }  // namespace
@@ -71,8 +99,50 @@ void KalmanFilter2D::Reset(const Vec2& position) {
 }
 
 void KalmanFilter2D::PredictStep() {
-  // state <- F state; P <- F P F^T + Q, via the dispatched batch kernel.
-  simd::KalmanPredict4(f_, q_, state_, p_);
+  // state <- F state; P <- (F P) F^T + Q, each product with operator*'s
+  // zero skip.
+  TimeUpdateState(f_, state_);
+  double ft[16];
+  for (int r = 0; r < 4; ++r) {
+    for (int c = 0; c < 4; ++c) ft[c * 4 + r] = f_[r * 4 + c];
+  }
+  double fp[16], fpft[16];
+  Mul4(f_, p_, fp);
+  Mul4(fp, ft, fpft);
+  for (int i = 0; i < 16; ++i) p_[i] = fpft[i] + q_[i];  // operator+
+}
+
+bool KalmanFilter2D::Gain(double k[8]) const {
+  // H picks (x, y); S = H P H^T + R is 2x2 so invert it directly.
+  const double s00 = p_[0 * 4 + 0] + r_;
+  const double s01 = p_[0 * 4 + 1];
+  const double s10 = p_[1 * 4 + 0];
+  const double s11 = p_[1 * 4 + 1] + r_;
+  const double det = s00 * s11 - s01 * s10;
+  if (det == 0.0) return false;
+  const double i00 = s11 / det, i01 = -s01 / det;
+  const double i10 = -s10 / det, i11 = s00 / det;
+  // Kalman gain K = P H^T S^-1 (4x2).
+  for (int row = 0; row < 4; ++row) {
+    const double ph0 = p_[row * 4 + 0];
+    const double ph1 = p_[row * 4 + 1];
+    k[row * 2 + 0] = ph0 * i00 + ph1 * i10;
+    k[row * 2 + 1] = ph0 * i01 + ph1 * i11;
+  }
+  return true;
+}
+
+void KalmanFilter2D::CorrectCovariance(const double k[8]) {
+  double ikh[16];
+  for (int i = 0; i < 16; ++i) ikh[i] = 0.0;
+  for (int i = 0; i < 4; ++i) ikh[i * 4 + i] = 1.0;
+  for (int row = 0; row < 4; ++row) {
+    ikh[row * 4 + 0] -= k[row * 2 + 0];
+    ikh[row * 4 + 1] -= k[row * 2 + 1];
+  }
+  double next_p[16];
+  Mul4(ikh, p_, next_p);
+  for (int i = 0; i < 16; ++i) p_[i] = next_p[i];
 }
 
 void KalmanFilter2D::UpdateStep(const Vec2& measurement) {
@@ -80,39 +150,10 @@ void KalmanFilter2D::UpdateStep(const Vec2& measurement) {
     Reset(measurement);
     return;
   }
-  // H picks (x, y); S = H P H^T + R is 2x2 so invert it directly.
-  const double s00 = p_[0 * 4 + 0] + r_;
-  const double s01 = p_[0 * 4 + 1];
-  const double s10 = p_[1 * 4 + 0];
-  const double s11 = p_[1 * 4 + 1] + r_;
-  const double det = s00 * s11 - s01 * s10;
-  if (det == 0.0) return;
-  const double i00 = s11 / det, i01 = -s01 / det;
-  const double i10 = -s10 / det, i11 = s00 / det;
-  // Kalman gain K = P H^T S^-1 (4x2).
-  double k[4][2];
-  for (int row = 0; row < 4; ++row) {
-    const double ph0 = p_[row * 4 + 0];
-    const double ph1 = p_[row * 4 + 1];
-    k[row][0] = ph0 * i00 + ph1 * i10;
-    k[row][1] = ph0 * i01 + ph1 * i11;
-  }
-  const double y0 = measurement.x - state_[0];
-  const double y1 = measurement.y - state_[1];
-  for (int row = 0; row < 4; ++row) {
-    state_[row] += k[row][0] * y0 + k[row][1] * y1;
-  }
-  // P = (I - K H) P.
-  double ikh[16];
-  for (int i = 0; i < 16; ++i) ikh[i] = 0.0;
-  for (int i = 0; i < 4; ++i) ikh[i * 4 + i] = 1.0;
-  for (int row = 0; row < 4; ++row) {
-    ikh[row * 4 + 0] -= k[row][0];
-    ikh[row * 4 + 1] -= k[row][1];
-  }
-  double next_p[16];
-  Mul4(ikh, p_, next_p);
-  for (int i = 0; i < 16; ++i) p_[i] = next_p[i];
+  double k[8];
+  if (!Gain(k)) return;
+  CorrectState(k, measurement, state_);
+  CorrectCovariance(k);
 }
 
 Vec2 KalmanFilter2D::position() const { return {state_[0], state_[1]}; }
@@ -120,27 +161,45 @@ Vec2 KalmanFilter2D::position() const { return {state_[0], state_[1]}; }
 Vec2 KalmanFilter2D::velocity() const { return {state_[2], state_[3]}; }
 
 std::vector<Vec2> KalmanFilter2D::Forecast(size_t steps) const {
-  std::vector<Vec2> out;
-  out.reserve(steps);
-  double s[4] = {state_[0], state_[1], state_[2], state_[3]};
-  double next[4];
-  for (size_t i = 0; i < steps; ++i) {
-    Apply4(f_, s, next);
-    for (int r = 0; r < 4; ++r) s[r] = next[r];
-    out.push_back({s[0], s[1]});
+  return ForecastFrom(f_, state_, steps);
+}
+
+KalmanPredictor::KalmanPredictor(double dt, double process_noise,
+                                 double measurement_noise)
+    : filter_(dt, process_noise, measurement_noise) {
+  // The fresh filter Predict would replay, run on covariance alone: Reset's
+  // P does not depend on the position, and the state it moves is never read.
+  filter_.Reset({0.0, 0.0});
+  for (Step& step : schedule_) {
+    filter_.PredictStep();
+    std::fill(std::begin(step.gain), std::end(step.gain), 0.0);
+    step.update = filter_.Gain(step.gain);
+    if (step.update) filter_.CorrectCovariance(step.gain);
   }
-  return out;
 }
 
 std::vector<Vec2> KalmanPredictor::Predict(const std::vector<Vec2>& recent,
                                            size_t steps) {
-  KalmanFilter2D filter(dt_, process_noise_, measurement_noise_);
-  filter.Reset(recent.front());
-  for (size_t i = 1; i < recent.size(); ++i) {
-    filter.PredictStep();
-    filter.UpdateStep(recent[i]);
+  // Reset(recent.front()), then per sample the state halves of PredictStep
+  // and UpdateStep with the scheduled gain.
+  double state[4] = {recent.front().x, recent.front().y, 0.0, 0.0};
+  const size_t updates = recent.size() - 1;
+  const size_t scheduled = std::min(updates, kScheduledSteps);
+  for (size_t i = 1; i <= scheduled; ++i) {
+    TimeUpdateState(filter_.f_, state);
+    const Step& step = schedule_[i - 1];
+    if (step.update) CorrectState(step.gain, recent[i], state);
   }
-  return filter.Forecast(steps);
+  if (updates <= kScheduledSteps) {
+    return ForecastFrom(filter_.f_, state, steps);
+  }
+  KalmanFilter2D tail = filter_;
+  std::copy(std::begin(state), std::end(state), tail.state_);
+  for (size_t i = kScheduledSteps + 1; i < recent.size(); ++i) {
+    tail.PredictStep();
+    tail.UpdateStep(recent[i]);
+  }
+  return tail.Forecast(steps);
 }
 
 }  // namespace proxdet

@@ -133,8 +133,11 @@ std::vector<Vec2> R2d2Predictor::Predict(const std::vector<Vec2>& recent,
                                          size_t steps) {
   // Fallback when untrained or when the reference database has nothing
   // similar nearby: the R2-D2 paper also degrades to a model-free predictor.
+  // One shared model: its constructor builds the gain schedule, and its
+  // Predict only reads it (concurrent calls are safe).
   const auto fallback = [&recent, steps]() {
-    return KalmanPredictor(1.0, 0.5, 3.0).Predict(recent, steps);
+    static KalmanPredictor kalman(1.0, 0.5, 3.0);
+    return kalman.Predict(recent, steps);
   };
   if (!trained_ || recent.empty()) return fallback();
 

@@ -406,31 +406,6 @@ TEST(SimdKernelTest, CircleKernelsBitwise) {
   });
 }
 
-TEST(SimdKernelTest, KalmanPredict4Bitwise) {
-  Rng rng(107);
-  ForEachBackend([&] {
-    for (int trial = 0; trial < 8; ++trial) {
-      double f[16], q[16], state_a[4], state_b[4], cov_a[16], cov_b[16];
-      for (int i = 0; i < 16; ++i) {
-        // Sparse like the real transition matrix: zeros exercise the
-        // operator* accumulation skip the kernel must replicate.
-        f[i] = rng.NextIndex(3) == 0 ? 0.0 : rng.Uniform(-2, 2);
-        q[i] = rng.Uniform(0, 1);
-        cov_a[i] = cov_b[i] = rng.Uniform(-5, 5);
-      }
-      for (int i = 0; i < 4; ++i) {
-        state_a[i] = state_b[i] = rng.Uniform(-100, 100);
-      }
-      for (int step = 0; step < 3; ++step) {  // Iterated: errors compound.
-        simd::KalmanPredict4(f, q, state_a, cov_a);
-        simd::scalar::KalmanPredict4(f, q, state_b, cov_b);
-        for (int i = 0; i < 4; ++i) EXPECT_BITEQ(state_a[i], state_b[i]);
-        for (int i = 0; i < 16; ++i) EXPECT_BITEQ(cov_a[i], cov_b[i]);
-      }
-    }
-  });
-}
-
 // ---------------------------------------------------------------------------
 // Stripe-level properties: the geometry entry points the detectors call must
 // give identical answers whichever backend serves them.

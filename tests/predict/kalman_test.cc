@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/rng.h"
 
 namespace proxdet {
@@ -95,6 +98,71 @@ TEST(KalmanPredictorTest, StatelessAcrossCalls) {
   const std::vector<Vec2> b = p.Predict(recent, 2);
   EXPECT_EQ(a[0], b[0]);
   EXPECT_EQ(a[1], b[1]);
+}
+
+// Predict replays the state with a gain schedule built once per predictor;
+// it must equal the fresh filter's full replay (Reset, then PredictStep +
+// UpdateStep per sample, then Forecast) bit for bit. Windows run past the
+// schedule's end, over the Kalman tuning grid plus the corners where the
+// covariance degenerates: measurement_noise = 0, and dt = 0 with it, where
+// det S is 0 at every update and the update is skipped.
+TEST(KalmanPredictorTest, GainScheduleReplayIsBitExactWithTheFullFilter) {
+  struct Params {
+    double dt, q, r;
+  };
+  std::vector<Params> grid;
+  for (const double q : {0.05, 0.2, 0.8, 3.0, 12.0, 50.0}) {
+    for (const double r : {2.0, 5.0, 12.0}) grid.push_back({1.0, q, r});
+  }
+  grid.push_back({1.0, 0.5, 0.0});
+  grid.push_back({0.0, 0.5, 0.0});
+  grid.push_back({0.0, 0.0, 3.0});
+  grid.push_back({2.5, 0.0, 0.0});
+
+  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  Rng rng(2026);
+  const size_t max_len = KalmanPredictor::kScheduledSteps + 9;
+  for (const Params& p : grid) {
+    KalmanPredictor predictor(p.dt, p.q, p.r);
+    for (int trial = 0; trial < 60; ++trial) {
+      const size_t len = 1 + rng.NextIndex(max_len);
+      std::vector<Vec2> recent;
+      Vec2 at{rng.Uniform(-5e4, 5e4), rng.Uniform(-5e4, 5e4)};
+      for (size_t i = 0; i < len; ++i) {
+        switch (rng.NextIndex(6)) {
+          case 0:  // Signed zeros.
+            at = {rng.NextIndex(2) ? 0.0 : -0.0,
+                  rng.NextIndex(2) ? 0.0 : -0.0};
+            break;
+          case 1:  // A jump.
+            at = {rng.Uniform(-5e4, 5e4), rng.Uniform(-5e4, 5e4)};
+            break;
+          default:
+            at += Vec2{rng.Uniform(-30, 30), rng.Uniform(-30, 30)};
+        }
+        recent.push_back(at);
+      }
+      const size_t steps = rng.NextIndex(25);
+
+      KalmanFilter2D filter(p.dt, p.q, p.r);
+      filter.Reset(recent.front());
+      for (size_t i = 1; i < recent.size(); ++i) {
+        filter.PredictStep();
+        filter.UpdateStep(recent[i]);
+      }
+      const std::vector<Vec2> want = filter.Forecast(steps);
+      const std::vector<Vec2> got = predictor.Predict(recent, steps);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(bits(got[i].x), bits(want[i].x))
+            << "dt=" << p.dt << " q=" << p.q << " r=" << p.r
+            << " len=" << len << " step " << i;
+        ASSERT_EQ(bits(got[i].y), bits(want[i].y))
+            << "dt=" << p.dt << " q=" << p.q << " r=" << p.r
+            << " len=" << len << " step " << i;
+      }
+    }
+  }
 }
 
 }  // namespace
