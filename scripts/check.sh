@@ -37,9 +37,10 @@
 # invariance across thread counts is exactly the property TSan must not
 # perturb.
 #
-# A third leg runs the `simd`, `pair_check`, `core`, `engine`, `predict`,
-# `geom`, `common`, `substrate`, `obs` and `scale` suites under
-# -DPROXDET_SANITIZE=undefined: the branchless lane arithmetic
+# A third leg runs every label — `simd`, `pair_check`, `core`, `engine`,
+# `predict`, `geom`, `common`, `substrate`, `obs`, `scale`, `net`, `shard`,
+# `latency`, `socket` and `sanitize`, the whole tier-1 suite, like the ASan
+# leg — under -DPROXDET_SANITIZE=undefined: the branchless lane arithmetic
 # in the vector kernels (masked selects, safe-divisor guards) must not hide
 # UB — every lane's intermediate math has to be well-defined even where a
 # mask discards it, including the pair check's batched gap < r lanes — and
@@ -56,7 +57,10 @@
 # graph) are the plain numeric code everything else stands on. `obs`
 # covers the quantile sketch's signed bucket offsets beside its INT32_MIN /
 # INT32_MAX sentinel buckets, and `scale` the streaming world's ring index
-# arithmetic.
+# arithmetic. `net`, `shard`, `latency` and `socket` run the wire decoders
+# (varints, zigzag deltas, the quantized-delta polyline) and the transport's
+# sequence arithmetic over arbitrary bytes; `sanitize` the thread pool and
+# the determinism runs.
 #
 # A fourth leg runs the protocol and observability suites — `net`, `shard`,
 # `latency`, `socket` and `obs` — plus `geom`, `common` and `substrate`,
@@ -102,7 +106,7 @@ PROXDET_SIMD_FORCE=scalar \
 cmake -B "$UBSAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=undefined "$@"
 cmake --build "$UBSAN_BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$UBSAN_BUILD_DIR" \
-  -L 'simd|pair_check|core|engine|predict|geom|common|substrate|obs|scale' \
+  -L 'simd|pair_check|core|engine|predict|geom|common|substrate|obs|scale|net|shard|latency|socket|sanitize' \
   --output-on-failure -j "$JOBS"
 
 cmake -B "$ASAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=address "$@"

@@ -101,28 +101,17 @@ struct StripeSample final : BuildSample {
   size_t exact_evaluations = 0;
 };
 
-/// A representative interior point of a shape, used only to orient
-/// half-plane boundaries; soundness never depends on it (the verify-and-
-/// shrink loop checks exact distances).
-Vec2 RepresentativePoint(const SafeRegionShape& shape, int epoch) {
-  return std::visit(
-      [epoch](const auto& s) -> Vec2 {
-        using T = std::decay_t<decltype(s)>;
-        if constexpr (std::is_same_v<T, Circle>) {
-          return s.center;
-        } else if constexpr (std::is_same_v<T, MovingCircle>) {
-          return s.CenterAt(epoch);
-        } else if constexpr (std::is_same_v<T, ConvexPolygon>) {
-          Vec2 acc{0.0, 0.0};
-          if (s.vertices().empty()) return acc;
-          for (const Vec2& v : s.vertices()) acc += v;
-          return acc / static_cast<double>(s.vertices().size());
-        } else {
-          const size_t n = s.anchor_count();
-          return n == 0 ? Vec2{0.0, 0.0} : s.anchor(n / 2);
-        }
-      },
-      shape);
+/// A representative interior point of a Static friend's region (a Circle
+/// or a ConvexPolygon), used only to orient half-plane boundaries;
+/// soundness never depends on it (the verify-and-shrink loop checks exact
+/// distances).
+Vec2 RepresentativePoint(const SafeRegionShape& shape) {
+  if (const Circle* c = std::get_if<Circle>(&shape)) return c->center;
+  const ConvexPolygon& poly = std::get<ConvexPolygon>(shape);
+  Vec2 acc{0.0, 0.0};
+  if (poly.vertices().empty()) return acc;
+  for (const Vec2& v : poly.vertices()) acc += v;
+  return acc / static_cast<double>(poly.vertices().size());
 }
 
 }  // namespace
@@ -140,7 +129,7 @@ SafeRegionShape StaticPolygonPolicy::BuildRegion(
   for (size_t i = 0; i < friends.size(); ++i) {
     const double d = ShapeDistanceToPoint(friends[i].region(), location, epoch);
     offsets[i] = std::max(0.0, d - friends[i].alert_radius);
-    Vec2 dir = RepresentativePoint(friends[i].region(), epoch) - location;
+    Vec2 dir = RepresentativePoint(friends[i].region()) - location;
     if (dir.SquaredNorm() < 1e-12) dir = Vec2{1.0, 0.0};
     directions[i] = dir.Normalized();
   }

@@ -14,8 +14,8 @@ namespace proxdet {
 /// rebuilding friend the slack corridor is split by a perpendicular
 /// boundary (the "warning area" of Fig. 1(a)); toward installed regions a
 /// half-plane is placed inside the measured slack and then verified (and
-/// shrunk if needed) against the exact polygon distance — sound for every
-/// shape in the taxonomy.
+/// shrunk if needed) against the exact polygon distance. Its friends'
+/// regions are circles and polygons (region.h's Static family).
 class StaticPolygonPolicy : public RegionPolicy {
  public:
   std::string name() const override { return "Static"; }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <variant>
 
@@ -12,69 +14,13 @@ namespace proxdet {
 
 namespace {
 
-/// Distance from one path segment to a friend's region shape. Bit-exact
-/// with (and previously implemented as) ShapeMinDistance between a
-/// zero-radius temporary Stripe over {a, b} and the shape — but evaluated
-/// directly through the batched kernels, with the segment's derived form
-/// computed once and no heap allocation: this runs friends x m times per
-/// rebuild and was the top profile entry before the rewrite. The
-/// zero-radius term the temporary contributed (d - 0.0) is an exact no-op
-/// on the non-negative distances and is dropped.
-double SegmentToShape(const Vec2& a, const Vec2& b,
-                      const SafeRegionShape& shape, int epoch) {
-  const double dx = b.x - a.x;
-  const double dy = b.y - a.y;
-  const double len2 = dx * dx + dy * dy;
-  return std::visit(
-      [&](const auto& s) -> double {
-        using T = std::decay_t<decltype(s)>;
-        if constexpr (std::is_same_v<T, Circle> ||
-                      std::is_same_v<T, MovingCircle>) {
-          Circle c;
-          if constexpr (std::is_same_v<T, MovingCircle>) {
-            c = s.AtEpoch(epoch);
-          } else {
-            c = s;
-          }
-          double sq;
-          simd::SegmentSquaredDistanceToPoints(a.x, a.y, dx, dy, len2,
-                                               &c.center.x, &c.center.y, 1,
-                                               &sq);
-          return std::max(0.0, std::sqrt(sq) - c.radius);
-        } else if constexpr (std::is_same_v<T, Stripe>) {
-          // Stripe::DistanceToStripe's branch structure with the temporary
-          // as the (always 2-point) left-hand path.
-          double d;
-          if (s.anchor_count() == 0) {
-            d = std::numeric_limits<double>::infinity();
-          } else if (s.anchor_count() == 1) {
-            double sq;
-            simd::SegmentSquaredDistanceToPoints(a.x, a.y, dx, dy, len2,
-                                                 s.anchor_xs(), s.anchor_ys(),
-                                                 1, &sq);
-            d = std::sqrt(sq);
-          } else {
-            d = std::sqrt(simd::SegmentToPolylineSquaredDistance(
-                a.x, a.y, b.x, b.y, s.segments_soa()));
-          }
-          return std::max(0.0, d - s.radius());
-        } else {  // ConvexPolygon: cold — keep the legacy exact reduction.
-          const Stripe segment_as_stripe(Polyline({a, b}), 0.0);
-          return ShapeMinDistance(SafeRegionShape(segment_as_stripe), shape,
-                                  epoch);
-        }
-      },
-      shape);
-}
-
 /// Friend constraints staged once per build for the per-m scans: one SoA
-/// batch of point-like shapes (circles, moving circles frozen at the build
-/// epoch, single-anchor stripes), one concatenated segment SoA across all
-/// polyline stripes, and the rare cold shapes kept on the per-friend path.
-/// Each horizon step then issues ~3 kernel calls over the whole friend set
-/// instead of one or two tiny calls per friend; the per-friend values are
-/// recovered by ranged reductions that are bit-exact with the per-friend
-/// calls (see the concatenated-SoA contract in geom/simd/simd.h).
+/// batch of point-like shapes (circles and single-anchor stripes) and one
+/// concatenated segment SoA across all polyline stripes. Each horizon step
+/// then issues ~3 kernel calls over the whole friend set instead of one or
+/// two tiny calls per friend; the per-friend values are recovered by ranged
+/// reductions that are bit-exact with the per-friend calls (see the
+/// concatenated-SoA contract in geom/simd/simd.h).
 struct StagedConstraints {
   // Point-like friends: the center whose segment distance is taken, and the
   // radius subtracted from it. pt_gap[k] is the friend's gaps[] index.
@@ -83,7 +29,7 @@ struct StagedConstraints {
   // Stripes with >= 2 anchors: segments concatenated in friend order. The
   // degenerate single-anchor encoding is NOT bit-safe for the seg-seg
   // kernel, so single-anchor stripes go in the point batch instead —
-  // exactly the branch SegmentToShape / Stripe::DistanceToPoint take.
+  // exactly the branch Stripe::DistanceToStripe takes.
   std::vector<double> sax, say, sbx, sby, sdx, sdy, slen2;
   struct Range {
     size_t gap;
@@ -91,9 +37,6 @@ struct StagedConstraints {
     double radius;
   };
   std::vector<Range> ranges;
-  // ConvexPolygon: legacy per-friend reduction; (gaps[] index, friends[]
-  // index) pairs.
-  std::vector<std::pair<size_t, size_t>> cold;
   // Kernel outputs, sized to the batches.
   std::vector<double> pt_sq, seg_sq, pdtp_sq;
 
@@ -105,7 +48,7 @@ struct StagedConstraints {
 
 /// Stages friends[kept[g]] as gap g, for every g.
 void StageConstraints(const std::vector<StripeFriendConstraint>& friends,
-                      const std::vector<size_t>& kept, int epoch,
+                      const std::vector<size_t>& kept,
                       StagedConstraints& out) {
   out.ptx.clear();
   out.pty.clear();
@@ -119,48 +62,34 @@ void StageConstraints(const std::vector<StripeFriendConstraint>& friends,
   out.sdy.clear();
   out.slen2.clear();
   out.ranges.clear();
-  out.cold.clear();
   for (size_t g = 0; g < kept.size(); ++g) {
-    std::visit(
-        [&](const auto& s) {
-          using T = std::decay_t<decltype(s)>;
-          if constexpr (std::is_same_v<T, Circle> ||
-                        std::is_same_v<T, MovingCircle>) {
-            Circle c;
-            if constexpr (std::is_same_v<T, MovingCircle>) {
-              c = s.AtEpoch(epoch);
-            } else {
-              c = s;
-            }
-            out.ptx.push_back(c.center.x);
-            out.pty.push_back(c.center.y);
-            out.ptr.push_back(c.radius);
-            out.pt_gap.push_back(g);
-          } else if constexpr (std::is_same_v<T, Stripe>) {
-            // No anchors: both distances are +infinity, a min no-op — drop.
-            if (s.anchor_count() == 0) return;
-            if (s.anchor_count() == 1) {
-              out.ptx.push_back(s.anchor_xs()[0]);
-              out.pty.push_back(s.anchor_ys()[0]);
-              out.ptr.push_back(s.radius());
-              out.pt_gap.push_back(g);
-              return;
-            }
-            const simd::SegmentSoA segs = s.segments_soa();
-            const size_t begin = out.sax.size();
-            out.sax.insert(out.sax.end(), segs.ax, segs.ax + segs.n);
-            out.say.insert(out.say.end(), segs.ay, segs.ay + segs.n);
-            out.sbx.insert(out.sbx.end(), segs.bx, segs.bx + segs.n);
-            out.sby.insert(out.sby.end(), segs.by, segs.by + segs.n);
-            out.sdx.insert(out.sdx.end(), segs.dx, segs.dx + segs.n);
-            out.sdy.insert(out.sdy.end(), segs.dy, segs.dy + segs.n);
-            out.slen2.insert(out.slen2.end(), segs.len2, segs.len2 + segs.n);
-            out.ranges.push_back({g, begin, begin + segs.n, s.radius()});
-          } else {  // ConvexPolygon
-            out.cold.push_back({g, kept[g]});
-          }
-        },
-        *friends[kept[g]].region);
+    const SafeRegionShape& shape = *friends[kept[g]].region;
+    if (const Circle* c = std::get_if<Circle>(&shape)) {
+      out.ptx.push_back(c->center.x);
+      out.pty.push_back(c->center.y);
+      out.ptr.push_back(c->radius);
+      out.pt_gap.push_back(g);
+      continue;
+    }
+    // SurveyFriend admitted only Circle and Stripe.
+    const Stripe& stripe = std::get<Stripe>(shape);
+    if (stripe.anchor_count() == 1) {
+      out.ptx.push_back(stripe.anchor_xs()[0]);
+      out.pty.push_back(stripe.anchor_ys()[0]);
+      out.ptr.push_back(stripe.radius());
+      out.pt_gap.push_back(g);
+      continue;
+    }
+    const simd::SegmentSoA segs = stripe.segments_soa();
+    const size_t begin = out.sax.size();
+    out.sax.insert(out.sax.end(), segs.ax, segs.ax + segs.n);
+    out.say.insert(out.say.end(), segs.ay, segs.ay + segs.n);
+    out.sbx.insert(out.sbx.end(), segs.bx, segs.bx + segs.n);
+    out.sby.insert(out.sby.end(), segs.by, segs.by + segs.n);
+    out.sdx.insert(out.sdx.end(), segs.dx, segs.dx + segs.n);
+    out.sdy.insert(out.sdy.end(), segs.dy, segs.dy + segs.n);
+    out.slen2.insert(out.slen2.end(), segs.len2, segs.len2 + segs.n);
+    out.ranges.push_back({g, begin, begin + segs.n, stripe.radius()});
   }
   out.pt_sq.resize(out.ptx.size());
   out.seg_sq.resize(out.sax.size());
@@ -190,49 +119,44 @@ struct FriendSurvey {
   size_t segment_lanes = 0;
 };
 
+[[noreturn]] void OutsideStripeFamily(const SafeRegionShape& shape) {
+  std::fprintf(stderr,
+               "FATAL: BuildPredictiveStripe: a friend region is a %s; a "
+               "Stripe build's friends are Circle or Stripe regions.\n",
+               ShapeName(shape));
+  std::abort();
+}
+
+/// Surveys one friend; aborts unless its region is a Circle or a Stripe
+/// (every friend is surveyed before anything else reads it).
 FriendSurvey SurveyFriend(const StripeFriendConstraint& f, const Vec2& p,
                           double approach_factor, int epoch) {
   const SafeRegionShape& shape = *f.region;
   FriendSurvey out;
-  out.gap.y0 = std::numeric_limits<double>::infinity();
   out.gap.alert_radius = f.alert_radius;
   out.gap.speed = std::max(f.speed * approach_factor, 1e-6);
-  double& y0 = out.gap.y0;
-  std::visit(
-      [&](const auto& s) {
-        using T = std::decay_t<decltype(s)>;
-        if constexpr (std::is_same_v<T, Circle> ||
-                      std::is_same_v<T, MovingCircle>) {
-          Circle c;
-          if constexpr (std::is_same_v<T, MovingCircle>) {
-            c = s.AtEpoch(epoch);
-          } else {
-            c = s;
-          }
-          y0 = PointClearance(p.x, p.y, c.center.x, c.center.y, c.radius);
-          out.point_lanes = 1;
-          out.bounded = ShapeBoundsAt(shape, epoch, &out.box);
-        } else if constexpr (std::is_same_v<T, Stripe>) {
-          if (s.anchor_count() == 0) return;  // +infinity, never staged
-          out.bounded = ShapeBoundsAt(shape, epoch, &out.box);
-          if (s.anchor_count() == 1) {
-            y0 = PointClearance(p.x, p.y, s.anchor_xs()[0], s.anchor_ys()[0],
-                                s.radius());
-            out.point_lanes = 1;
-            return;
-          }
-          // The reduced kernel equals the ranged min over the store
-          // kernel's lanes bit for bit (geom/simd/simd.h).
-          const simd::SegmentSoA segs = s.segments_soa();
-          y0 = std::max(0.0, std::sqrt(simd::PolylineSquaredDistanceToPoint(
-                                 segs, p.x, p.y)) -
-                                 s.radius());
-          out.segment_lanes = segs.n;
-        } else {  // ConvexPolygon: the cold path, never screened.
-          y0 = ShapeDistanceToPoint(shape, p, epoch);
-        }
-      },
-      shape);
+  out.bounded = ShapeBoundsAt(shape, epoch, &out.box);
+  if (const Circle* c = std::get_if<Circle>(&shape)) {
+    out.gap.y0 =
+        PointClearance(p.x, p.y, c->center.x, c->center.y, c->radius);
+    out.point_lanes = 1;
+    return out;
+  }
+  const Stripe* stripe = std::get_if<Stripe>(&shape);
+  if (stripe == nullptr) OutsideStripeFamily(shape);
+  if (stripe->anchor_count() == 1) {
+    out.gap.y0 = PointClearance(p.x, p.y, stripe->anchor_xs()[0],
+                                stripe->anchor_ys()[0], stripe->radius());
+    out.point_lanes = 1;
+    return out;
+  }
+  // The reduced kernel equals the ranged min over the store kernel's lanes
+  // bit for bit (geom/simd/simd.h).
+  const simd::SegmentSoA segs = stripe->segments_soa();
+  out.gap.y0 = std::max(
+      0.0, std::sqrt(simd::PolylineSquaredDistanceToPoint(segs, p.x, p.y)) -
+               stripe->radius());
+  out.segment_lanes = segs.n;
   return out;
 }
 
@@ -391,7 +315,7 @@ StripeBuildResult BuildPredictiveStripe(
   ScreenFriends(surveys, path, kept);
 
   StagedConstraints& staged = scratch.staged;
-  StageConstraints(friends, kept, epoch, staged);
+  StageConstraints(friends, kept, staged);
 
   // One point against every staged point-like friend.
   const auto point_friend_distance = [&staged](size_t k, double px,
@@ -413,14 +337,12 @@ StripeBuildResult BuildPredictiveStripe(
 
   // Anchors: current location, then the enclosed predicted points. Gap
   // prefix minima y0_f(m) accumulate as m grows one segment at a time,
-  // from the surveyed m = 0 clearances. Empty-path stripes are never staged
-  // and keep the +infinity seed — exactly their ShapeDistanceToPoint value.
+  // from the surveyed m = 0 clearances.
   std::vector<FriendGap>& gaps = scratch.gaps;
   gaps.clear();
   for (const size_t i : kept) gaps.push_back(surveys[i].gap);
-  // Batched-kernel dispatches issued by this build (the survey's reduced
-  // calls and the store kernels over the staged batches; the rare cold-path
-  // n=1 calls inside SegmentToShape are not counted). Surfaced by the
+  // Batched-kernel dispatches issued by this build: the survey's reduced
+  // calls and the store kernels over the staged batches. Surfaced by the
   // policy layer as simd.dispatch.*.
   size_t dispatches = 0;
   for (const FriendSurvey& survey : surveys) {
@@ -468,16 +390,11 @@ StripeBuildResult BuildPredictiveStripe(
         violated = d <= gaps[r.gap].alert_radius;
       }
     }
-    for (const auto& [g, i] : staged.cold) {
-      if (violated) break;
-      violated = ShapeDistanceToPoint(*friends[i].region, next_anchor,
-                                      epoch) <= gaps[g].alert_radius;
-    }
     if (violated) break;
 
     // Exact segment-to-shape clearances. The query segment's derived form
-    // is computed once per step exactly as SegmentToShape derives it per
-    // call; point-like friends run as one batch.
+    // (d = b - a, |d|^2) is computed once per step; point-like friends run
+    // as one batch.
     const double qdx = next_anchor.x - prev_anchor.x;
     const double qdy = next_anchor.y - prev_anchor.y;
     const double qlen2 = qdx * qdx + qdy * qdy;
@@ -508,11 +425,6 @@ StripeBuildResult BuildPredictiveStripe(
         FriendGap& g = gaps[r.gap];
         g.y0 = std::min(g.y0, exact_d);
       }
-    }
-    for (const auto& [g, i] : staged.cold) {
-      const double exact_d =
-          SegmentToShape(prev_anchor, next_anchor, *friends[i].region, epoch);
-      gaps[g].y0 = std::min(gaps[g].y0, exact_d);
     }
     anchors.push_back(next_anchor);
     prev_anchor = next_anchor;

@@ -12,7 +12,9 @@ namespace proxdet {
 /// A friend as seen by the stripe builder: the region the server currently
 /// attributes to the friend (or a virtual circle around an exact location
 /// when the friend is rebuilding in the same epoch), the pair's alert
-/// radius, and the friend's speed estimate. The region is borrowed — the
+/// radius, and the friend's speed estimate. The region is a Circle or a
+/// Stripe (the Stripe family, region/region.h); any other shape aborts
+/// the build. The region is borrowed — the
 /// caller's shape must outlive the BuildPredictiveStripe call. (A variant
 /// holding a Stripe is several hundred bytes plus heap blocks; copying one
 /// per friend per rebuild dominated the resolve phase before this became a

@@ -8,14 +8,6 @@ namespace proxdet {
 
 Polyline::Polyline(std::vector<Vec2> points) : points_(std::move(points)) {}
 
-double Polyline::Length() const {
-  double acc = 0.0;
-  for (size_t i = 0; i + 1 < points_.size(); ++i) {
-    acc += Distance(points_[i], points_[i + 1]);
-  }
-  return acc;
-}
-
 double Polyline::DistanceToPoint(const Vec2& p) const {
   return std::sqrt(SquaredDistanceToPoint(p));
 }
@@ -28,24 +20,6 @@ double Polyline::SquaredDistanceToPoint(const Vec2& p) const {
     best = std::min(best, SquaredDistancePointToSegment(p, segment(i)));
   }
   return best;
-}
-
-double Polyline::DistanceToPolyline(const Polyline& other) const {
-  if (points_.empty() || other.points_.empty()) {
-    return std::numeric_limits<double>::infinity();
-  }
-  if (points_.size() == 1) return other.DistanceToPoint(points_[0]);
-  if (other.points_.size() == 1) return DistanceToPoint(other.points_[0]);
-  double best = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i + 1 < points_.size(); ++i) {
-    const Segment s1 = segment(i);
-    for (size_t j = 0; j + 1 < other.points_.size(); ++j) {
-      best = std::min(best,
-                      SquaredDistanceSegmentToSegment(s1, other.segment(j)));
-      if (best == 0.0) return 0.0;
-    }
-  }
-  return std::sqrt(best);
 }
 
 Vec2 Polyline::PointAtArcLength(double s) const {

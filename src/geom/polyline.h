@@ -20,13 +20,7 @@ class Polyline {
   bool empty() const { return points_.empty(); }
   size_t size() const { return points_.size(); }
 
-  /// Number of segments: max(0, size() - 1).
-  size_t segment_count() const {
-    return points_.size() < 2 ? 0 : points_.size() - 1;
-  }
   Segment segment(size_t i) const { return {points_[i], points_[i + 1]}; }
-
-  double Length() const;
 
   /// min_i d(p, segment_i); for a single-point polyline, the distance to
   /// that point. Returns +inf for an empty polyline.
@@ -36,9 +30,6 @@ class Polyline {
   /// distances and defers the single sqrt to the caller, which is bit-exact
   /// because correctly-rounded sqrt is monotone.
   double SquaredDistanceToPoint(const Vec2& p) const;
-
-  /// Exact minimum distance between two polylines (0 if they cross).
-  double DistanceToPolyline(const Polyline& other) const;
 
   /// Point at arc-length s from the start (clamped to the ends).
   Vec2 PointAtArcLength(double s) const;

@@ -89,10 +89,10 @@ double Stripe::DistanceToPoint(const Vec2& p) const {
 }
 
 double Stripe::DistanceToStripe(const Stripe& other) const {
-  // Polyline::DistanceToPolyline's branch structure, with the scans routed
-  // through the batched kernels (single-anchor stripes take the
-  // point-distance branches exactly as the scalar code does — the
-  // degenerate-segment encoding is only bit-safe for point kernels).
+  // Either path empty: +infinity. A single-anchor stripe is a point, so
+  // that side takes the point-to-polyline kernel (the degenerate-segment
+  // encoding is only bit-safe for point kernels); otherwise every segment
+  // of this path is scanned against the other's, stopping at a crossing.
   const size_t n = anchor_count();
   const size_t other_n = other.anchor_count();
   double d;

@@ -50,7 +50,8 @@ class Stripe {
   /// per query). A single-anchor stripe is one degenerate segment, which
   /// the point-distance kernels resolve bitwise like the scalar special
   /// case; callers doing segment-segment work must branch on
-  /// anchor_count() == 1 exactly like Polyline::DistanceToPolyline does.
+  /// anchor_count() == 1 and take a point kernel instead, as
+  /// DistanceToStripe does.
   simd::SegmentSoA segments_soa() const;
 
   /// Closed containment: boundary points are inside the safe region.

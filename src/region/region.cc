@@ -1,52 +1,41 @@
 #include "region/region.h"
 
 #include <algorithm>
-#include <limits>
+#include <cstdio>
+#include <cstdlib>
+#include <type_traits>
 
 namespace proxdet {
 namespace {
-
-// Distance between a stripe's anchor polyline and a convex polygon
-// boundary/interior.
-double AnchorsToPolygon(const Stripe& s, const ConvexPolygon& poly) {
-  const size_t n = s.anchor_count();
-  if (n == 0 || poly.empty()) {
-    return std::numeric_limits<double>::infinity();
-  }
-  // Inside-polygon cases collapse to zero via the vertex-distance test.
-  double best = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < n; ++i) {
-    best = std::min(best, poly.DistanceToPoint(s.anchor(i)));
-    if (best == 0.0) return 0.0;
-  }
-  const auto& verts = poly.vertices();
-  for (size_t i = 0; i < verts.size(); ++i) {
-    const Segment edge{verts[i], verts[(i + 1) % verts.size()]};
-    if (n == 1) {
-      best = std::min(best, DistancePointToSegment(s.anchor(0), edge));
-      continue;
-    }
-    for (size_t j = 0; j + 1 < n; ++j) {
-      best = std::min(best, DistanceSegmentToSegment(
-                                edge, Segment{s.anchor(j), s.anchor(j + 1)}));
-      if (best == 0.0) return 0.0;
-    }
-  }
-  return best;
-}
 
 double CircleToPolygon(const Circle& c, const ConvexPolygon& poly) {
   return std::max(0.0, poly.DistanceToPoint(c.center) - c.radius);
 }
 
-double StripeToPolygon(const Stripe& s, const ConvexPolygon& poly) {
-  return std::max(0.0, AnchorsToPolygon(s, poly) - s.radius());
+template <typename T>
+constexpr const char* TypeName() {
+  if constexpr (std::is_same_v<T, Circle>) {
+    return "Circle";
+  } else if constexpr (std::is_same_v<T, MovingCircle>) {
+    return "MovingCircle";
+  } else if constexpr (std::is_same_v<T, ConvexPolygon>) {
+    return "ConvexPolygon";
+  } else {
+    return "Stripe";
+  }
 }
 
-double StripeToCircleShape(const Stripe& s, const Circle& c) {
-  return s.DistanceToCircle(c);
+[[noreturn]] void UnproducedPair(const char* a, const char* b) {
+  std::fprintf(stderr,
+               "FATAL: ShapeMinDistance(%s, %s): no detector produces this "
+               "pair; a detector's regions are Circle plus one of "
+               "MovingCircle, ConvexPolygon or Stripe.\n",
+               a, b);
+  std::abort();
 }
 
+/// The pairs a detector can produce: Circle with anything, and each
+/// family's own shape with itself. Every other pair takes the fallback.
 struct DistanceVisitor {
   int epoch;
 
@@ -60,7 +49,7 @@ struct DistanceVisitor {
     return CircleToPolygon(a, b);
   }
   double operator()(const Circle& a, const Stripe& b) const {
-    return StripeToCircleShape(b, a);
+    return b.DistanceToCircle(a);
   }
   double operator()(const MovingCircle& a, const Circle& b) const {
     return DistanceCircleToCircle(a.AtEpoch(epoch), b);
@@ -68,39 +57,31 @@ struct DistanceVisitor {
   double operator()(const MovingCircle& a, const MovingCircle& b) const {
     return DistanceCircleToCircle(a.AtEpoch(epoch), b.AtEpoch(epoch));
   }
-  double operator()(const MovingCircle& a, const ConvexPolygon& b) const {
-    return CircleToPolygon(a.AtEpoch(epoch), b);
-  }
-  double operator()(const MovingCircle& a, const Stripe& b) const {
-    return StripeToCircleShape(b, a.AtEpoch(epoch));
-  }
   double operator()(const ConvexPolygon& a, const Circle& b) const {
     return CircleToPolygon(b, a);
-  }
-  double operator()(const ConvexPolygon& a, const MovingCircle& b) const {
-    return CircleToPolygon(b.AtEpoch(epoch), a);
   }
   double operator()(const ConvexPolygon& a, const ConvexPolygon& b) const {
     return a.DistanceToPolygon(b);
   }
-  double operator()(const ConvexPolygon& a, const Stripe& b) const {
-    return StripeToPolygon(b, a);
-  }
   double operator()(const Stripe& a, const Circle& b) const {
-    return StripeToCircleShape(a, b);
-  }
-  double operator()(const Stripe& a, const MovingCircle& b) const {
-    return StripeToCircleShape(a, b.AtEpoch(epoch));
-  }
-  double operator()(const Stripe& a, const ConvexPolygon& b) const {
-    return StripeToPolygon(a, b);
+    return a.DistanceToCircle(b);
   }
   double operator()(const Stripe& a, const Stripe& b) const {
     return a.DistanceToStripe(b);
   }
+  template <typename A, typename B>
+  double operator()(const A&, const B&) const {
+    UnproducedPair(TypeName<A>(), TypeName<B>());
+  }
 };
 
 }  // namespace
+
+const char* ShapeName(const SafeRegionShape& shape) {
+  return std::visit(
+      [](const auto& s) { return TypeName<std::decay_t<decltype(s)>>(); },
+      shape);
+}
 
 bool ShapeContains(const SafeRegionShape& shape, const Vec2& p, int epoch) {
   return std::visit(

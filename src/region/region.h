@@ -16,6 +16,10 @@ namespace proxdet {
 /// polygons (Buddy Tracking [3]) and predictive stripes (this paper).
 using SafeRegionShape = std::variant<Circle, MovingCircle, ConvexPolygon, Stripe>;
 
+/// The shape's type name ("Circle", "MovingCircle", "ConvexPolygon" or
+/// "Stripe"), for precondition failures.
+const char* ShapeName(const SafeRegionShape& shape);
+
 /// Closed containment of p in the shape at the given epoch (only
 /// MovingCircle is time-dependent).
 bool ShapeContains(const SafeRegionShape& shape, const Vec2& p, int epoch);
@@ -25,8 +29,15 @@ double ShapeDistanceToPoint(const SafeRegionShape& shape, const Vec2& p,
                             int epoch);
 
 /// Minimum distance between two shapes at the given epoch (0 on overlap).
-/// Exact for every pair in the taxonomy (polygon-vs-buffered-polyline pairs
-/// reduce to segment-segment scans).
+/// Precondition: both shapes come from one detector's family. A detector
+/// builds one kind of region, and a friend it reads is that kind or a
+/// Circle (an initialization split), so the families are
+///   Static:  Circle | ConvexPolygon
+///   FMD/CMD: Circle | MovingCircle
+///   Stripe:  Circle | Stripe
+/// and the pairs served are Circle with any shape, MovingCircle-MovingCircle,
+/// ConvexPolygon-ConvexPolygon and Stripe-Stripe, each exact. Any other
+/// pair prints both shape names and aborts, in every build type.
 double ShapeMinDistance(const SafeRegionShape& a, const SafeRegionShape& b,
                         int epoch);
 
@@ -39,10 +50,12 @@ bool ShapeBoundsAt(const SafeRegionShape& shape, int epoch, BBox* out);
 
 /// True iff ShapeMinDistance(a, b, epoch) < threshold (<= when inclusive),
 /// with AABB lower-bound pruning: when the box-to-box distance already
-/// clears the threshold the exact geometry (O(segments^2) for
-/// stripe/polygon pairs) is never touched. Sound because the box distance
-/// never exceeds the exact distance, so the comparison outcome — the only
-/// thing detector decisions consume — is identical to the unpruned form.
+/// clears the threshold the exact geometry (O(segments^2) for stripe-stripe
+/// and polygon-polygon pairs) is never touched. Sound because the box
+/// distance never exceeds the exact distance, so the comparison outcome —
+/// the only thing detector decisions consume — is identical to the
+/// unpruned form. A cross-family pair aborts only when the boxes leave it
+/// undecided.
 bool ShapeMinDistanceBelow(const SafeRegionShape& a, const SafeRegionShape& b,
                            int epoch, double threshold,
                            bool inclusive = false);

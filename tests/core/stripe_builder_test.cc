@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "common/rng.h"
 #include "geom/anchor_grid.h"
@@ -254,8 +255,8 @@ StripeBuildResult UnscreenedReference(
 }
 
 // Influential-friend screening drops friends before staging; the oracle
-// is the unscreened algorithm above. The friend sets mix circles, moving
-// circles and grid-snapped stripes near and far, with duplicated friends
+// is the unscreened algorithm above. The friend sets mix circles and
+// grid-snapped stripes near and far, with duplicated friends
 // (equal terms), alert radii set exactly to a clearance (lb == r_w and
 // U0 == 0), friends inside the alert radius (U0 < 0), speeds at the clamps
 // (0, approach factor 0, far below 1e-6) and very fast friends.
@@ -314,19 +315,10 @@ TEST(StripeBuilderTest, ScreenedBuildIsBitExactWithUnscreenedReference) {
                                    rng.Uniform(-spread, spread)};
       const double radius =
           rng.NextIndex(6) == 0 ? 0.0 : rng.Uniform(0, layered ? 20 : 300);
-      switch (rng.NextIndex(3)) {
+      switch (rng.NextIndex(2)) {
         case 0:
           shapes.push_back(Circle{at, radius});
           break;
-        case 1: {
-          MovingCircle mc;
-          mc.center_at_build = at;
-          mc.velocity_per_epoch = {rng.Uniform(-40, 40), rng.Uniform(-40, 40)};
-          mc.radius = radius;
-          mc.built_epoch = static_cast<int>(rng.NextIndex(50));
-          shapes.push_back(mc);
-          break;
-        }
         default: {
           std::vector<Vec2> path{SnapToAnchorGrid(at)};
           const size_t n = rng.NextIndex(7);
@@ -406,6 +398,29 @@ TEST(StripeBuilderTest, ScreenedBuildIsBitExactWithUnscreenedReference) {
   // not all of them.
   EXPECT_GT(screened, offered / 10);
   EXPECT_LT(screened, offered);
+}
+
+// A Stripe build's friends are circles and stripes; any other region aborts
+// the build, naming the shape, before a clearance is computed from it.
+TEST(StripeBuilderTest, FriendOutsideStripeFamilyAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  StripeBuildConfig config;
+  const Vec2 current{0, 0};
+  const auto predicted = StraightPrediction(current, {40, 0}, 5);
+  const SafeRegionShape circle = Circle{{0, 600}, 10.0};
+  MovingCircle mc;
+  mc.center_at_build = {0, -600};
+  mc.velocity_per_epoch = {1, 0};
+  mc.radius = 10.0;
+  const SafeRegionShape moving = mc;
+  const SafeRegionShape poly = ConvexPolygon::Square({600, 0}, 10.0);
+  for (const SafeRegionShape* outside : {&moving, &poly}) {
+    const std::vector<StripeFriendConstraint> friends{
+        {&circle, 100.0, 1.0}, {outside, 100.0, 1.0}};
+    EXPECT_DEATH(BuildPredictiveStripe(current, predicted, friends, 40.0,
+                                       config, 0),
+                 std::string("friend region is a ") + ShapeName(*outside));
+  }
 }
 
 // A far friend that moves fast enough owns E_p even though a near, slow

@@ -2,27 +2,19 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
+#include <cmath>
 
 #include "common/rng.h"
 
 namespace proxdet {
 namespace {
 
-TEST(PolylineTest, LengthOfLShape) {
-  const Polyline line({{0, 0}, {10, 0}, {10, 5}});
-  EXPECT_DOUBLE_EQ(line.Length(), 15.0);
-  EXPECT_EQ(line.segment_count(), 2u);
-}
-
 TEST(PolylineTest, EmptyAndSinglePoint) {
   const Polyline empty;
   EXPECT_TRUE(empty.empty());
-  EXPECT_EQ(empty.segment_count(), 0u);
   EXPECT_TRUE(std::isinf(empty.DistanceToPoint({0, 0})));
 
   const Polyline point({{2, 3}});
-  EXPECT_EQ(point.segment_count(), 0u);
   EXPECT_DOUBLE_EQ(point.DistanceToPoint({2, 7}), 4.0);
 }
 
@@ -31,21 +23,6 @@ TEST(PolylineTest, DistanceToPointPicksNearestSegment) {
   EXPECT_DOUBLE_EQ(line.DistanceToPoint({5, 2}), 2.0);
   EXPECT_DOUBLE_EQ(line.DistanceToPoint({12, 5}), 2.0);
   EXPECT_DOUBLE_EQ(line.DistanceToPoint({10, 5}), 0.0);
-}
-
-TEST(PolylineTest, PolylinePolylineDistance) {
-  const Polyline a({{0, 0}, {10, 0}});
-  const Polyline b({{0, 4}, {10, 4}});
-  EXPECT_DOUBLE_EQ(a.DistanceToPolyline(b), 4.0);
-  const Polyline crossing({{5, -1}, {5, 1}});
-  EXPECT_DOUBLE_EQ(a.DistanceToPolyline(crossing), 0.0);
-}
-
-TEST(PolylineTest, DistanceToSinglePointPolyline) {
-  const Polyline a({{0, 0}, {10, 0}});
-  const Polyline point({{5, 3}});
-  EXPECT_DOUBLE_EQ(a.DistanceToPolyline(point), 3.0);
-  EXPECT_DOUBLE_EQ(point.DistanceToPolyline(a), 3.0);
 }
 
 TEST(PolylineTest, PointAtArcLength) {
@@ -65,35 +42,14 @@ TEST(PolylineTest, PropertyArcLengthPointsOnLine) {
     for (int i = 0; i < 6; ++i) {
       pts.push_back({rng.Uniform(-20, 20), rng.Uniform(-20, 20)});
     }
+    double length = 0.0;
+    for (size_t i = 0; i + 1 < pts.size(); ++i) {
+      length += Distance(pts[i], pts[i + 1]);
+    }
     const Polyline line(pts);
-    for (double s = 0.0; s <= line.Length(); s += line.Length() / 17.0) {
+    for (double s = 0.0; s <= length; s += length / 17.0) {
       EXPECT_NEAR(line.DistanceToPoint(line.PointAtArcLength(s)), 0.0, 1e-9);
     }
-  }
-}
-
-// Property: polyline-polyline distance is symmetric and matches dense
-// sampling from above.
-TEST(PolylineTest, PropertyDistanceSymmetricAndTight) {
-  Rng rng(23);
-  for (int trial = 0; trial < 20; ++trial) {
-    auto random_line = [&rng]() {
-      std::vector<Vec2> pts;
-      for (int i = 0; i < 4; ++i) {
-        pts.push_back({rng.Uniform(-10, 10), rng.Uniform(-10, 10)});
-      }
-      return Polyline(pts);
-    };
-    const Polyline a = random_line();
-    const Polyline b = random_line();
-    const double dab = a.DistanceToPolyline(b);
-    EXPECT_DOUBLE_EQ(dab, b.DistanceToPolyline(a));
-    double sampled = std::numeric_limits<double>::infinity();
-    for (double s = 0.0; s <= a.Length(); s += a.Length() / 100.0) {
-      sampled = std::min(sampled, b.DistanceToPoint(a.PointAtArcLength(s)));
-    }
-    EXPECT_LE(dab, sampled + 1e-9);
-    EXPECT_NEAR(dab, sampled, 0.5);
   }
 }
 

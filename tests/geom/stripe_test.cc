@@ -128,7 +128,7 @@ TEST(StripeTest, PropertySquaredScanMatchesPerSegmentSqrt) {
     const Polyline poly(pts);
     const Vec2 q{rng.Uniform(-500, 500), rng.Uniform(-500, 500)};
     double per_segment = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < poly.segment_count(); ++i) {
+    for (size_t i = 0; i + 1 < poly.size(); ++i) {
       per_segment =
           std::min(per_segment, DistancePointToSegment(q, poly.segment(i)));
     }
