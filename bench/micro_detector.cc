@@ -7,19 +7,13 @@
 // users) cell is re-run under a 1/2/4/8-thread global pool; the alert
 // stream, CommStats and rebuild counts must be bit-exact across thread
 // counts (the run aborts otherwise), and only wall-clock may improve.
-// The single-thread Stripe+KF cell also runs once on the scalar kernel
-// backend and must match bit for bit. Before the sweep, the stripe
-// builder's three clearance kernels run on a fixed batch under the vector
-// backend and under the scalar one: the vector backend must beat scalar by
-// kSimdSpeedupFloor (the SIMD gate).
 //
 // Emits BENCH_detector.json (PROXDET_BENCH_JSON: "0" disables, unset/"1"
 // writes to the current directory, anything else is the target directory),
-// with a "machine" block naming the host, SIMD backend and build type.
+// with a "machine" block naming the host, kernel backend and build type.
 // PROXDET_QUICK=1 shrinks to smoke-test size; PROXDET_BENCH_FULL=1 adds
 // the 100k-user point.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,11 +23,9 @@
 #include "bench/bench_common.h"
 #include "bench_support/bench_json.h"
 #include "bench_support/obs_artifacts.h"
-#include "common/rng.h"
 #include "common/timer.h"
 #include "core/events.h"
 #include "core/simulation.h"
-#include "geom/simd/simd.h"
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
 
@@ -61,113 +53,6 @@ struct Row {
   size_t alert_count = 0;
   bool alerts_exact = false;
 };
-
-// The SIMD gate: the stripe builder's clearance kernels, timed on one
-// fixed batch under the vector backend and under the scalar one in the
-// same process, must run at least this factor faster on the vector
-// backend or the bench fails. A same-process ratio does not drift with
-// host load the way an absolute epochs/s baseline does; a vector path that
-// silently runs scalar code reads about 1.0. The gate times the kernels
-// themselves because friend screening leaves the paper-default Stripe+KF
-// cell no longer kernel-bound (its end-to-end ratio is printed, not
-// gated). The floor and the ratios it was set from are in EXPERIMENTS.md
-// ("SIMD gate").
-constexpr double kSimdSpeedupFloor = 2.0;
-
-/// One fixed batch for the SIMD gate, shaped like a stripe build's staged
-/// friends: kGateLanes concatenated segments (so the vector kernels also
-/// run their scalar tail) and kGateQueries path segments against them.
-struct KernelGateBatch {
-  static constexpr size_t kGateLanes = 250;
-  static constexpr size_t kGateQueries = 64;
-  std::vector<double> ax, ay, bx, by, dx, dy, len2;
-  std::vector<double> qax, qay, qbx, qby;
-
-  KernelGateBatch() {
-    Rng rng(20180416);
-    for (size_t i = 0; i < kGateLanes; ++i) {
-      ax.push_back(rng.Uniform(-20000, 20000));
-      ay.push_back(rng.Uniform(-20000, 20000));
-      bx.push_back(ax.back() + rng.Uniform(-800, 800));
-      by.push_back(ay.back() + rng.Uniform(-800, 800));
-      dx.push_back(bx.back() - ax.back());
-      dy.push_back(by.back() - ay.back());
-      len2.push_back(dx.back() * dx.back() + dy.back() * dy.back());
-    }
-    for (size_t q = 0; q < kGateQueries; ++q) {
-      qax.push_back(rng.Uniform(-20000, 20000));
-      qay.push_back(rng.Uniform(-20000, 20000));
-      qbx.push_back(qax.back() + rng.Uniform(-800, 800));
-      qby.push_back(qay.back() + rng.Uniform(-800, 800));
-    }
-  }
-
-  simd::SegmentSoA view() const {
-    return {ax.data(), ay.data(), bx.data(), by.data(),
-            dx.data(), dy.data(), len2.data(), kGateLanes};
-  }
-
-  /// One pass of the builder's three store kernels (anchor prune, point
-  /// friends, stripe friends) for every query; `out` receives every lane.
-  void Pass(std::vector<double>* out) const {
-    out->resize(3 * kGateQueries * kGateLanes);
-    double* o = out->data();
-    const simd::SegmentSoA segs = view();
-    for (size_t q = 0; q < kGateQueries; ++q) {
-      const double qdx = qbx[q] - qax[q];
-      const double qdy = qby[q] - qay[q];
-      simd::SegmentsSquaredDistanceToPoint(segs, qbx[q], qby[q], o);
-      o += kGateLanes;
-      simd::SegmentSquaredDistanceToPoints(qax[q], qay[q], qdx, qdy,
-                                           qdx * qdx + qdy * qdy, ax.data(),
-                                           ay.data(), kGateLanes, o);
-      o += kGateLanes;
-      simd::SegmentToSegmentsSquaredDistances(qax[q], qay[q], qbx[q], qby[q],
-                                              segs, o);
-      o += kGateLanes;
-    }
-  }
-};
-
-/// Seconds per gate pass on the active backend: the best of kTrials
-/// timings of kPasses passes each (the minimum is the least disturbed by
-/// other load on the host).
-double TimeKernelPasses(const KernelGateBatch& batch,
-                        std::vector<double>* out) {
-  constexpr int kTrials = 7;
-  constexpr int kPasses = 40;
-  double best = 0.0;
-  for (int t = 0; t < kTrials; ++t) {
-    WallTimer timer;
-    for (int p = 0; p < kPasses; ++p) batch.Pass(out);
-    const double s = timer.ElapsedSeconds() / kPasses;
-    best = t == 0 ? s : std::min(best, s);
-  }
-  return best;
-}
-
-/// Runs the SIMD gate for `backend`: returns the scalar ÷ vector time
-/// ratio of the gate batch, or -1 when the two backends' lanes differ in
-/// any bit.
-double KernelGateRatio(simd::Backend backend) {
-  const KernelGateBatch batch;
-  std::vector<double> vector_out;
-  std::vector<double> scalar_out;
-  const double vector_s = TimeKernelPasses(batch, &vector_out);
-  simd::SetActiveBackendForTest(simd::Backend::kScalar);
-  const double scalar_s = TimeKernelPasses(batch, &scalar_out);
-  simd::SetActiveBackendForTest(backend);
-  if (std::memcmp(vector_out.data(), scalar_out.data(),
-                  vector_out.size() * sizeof(double)) != 0) {
-    return -1.0;
-  }
-  std::printf("SIMD gate: clearance kernels %.1f us (%s) vs %.1f us "
-              "(scalar) per pass = %.3fx, gate %.2fx\n",
-              vector_s * 1e6, simd::BackendName(backend), scalar_s * 1e6,
-              scalar_s / vector_s, kSimdSpeedupFloor);
-  std::fflush(stdout);
-  return scalar_s / vector_s;
-}
 
 WorkloadConfig DetectorConfig(size_t users, int epochs) {
   WorkloadConfig config;
@@ -287,30 +172,6 @@ int Main() {
                                        Method::kStripeKf};
   const std::vector<unsigned> thread_sweep = {1, 2, 4, 8};
 
-  // The SIMD gate (kSimdSpeedupFloor), on full-size runs only. Scalar-only
-  // runs (PROXDET_SIMD_FORCE=scalar, a CPU without AVX2, or a self-check
-  // fallback) have no vector path to compare; they are covered by the
-  // bit-exactness checks, not the gate.
-  const simd::Backend backend = simd::ActiveBackend();
-  if (!quick && backend != simd::Backend::kScalar) {
-    const double ratio = KernelGateRatio(backend);
-    if (ratio < 0.0) {
-      std::fprintf(stderr,
-                   "FATAL: the clearance kernels on %s differ from the "
-                   "scalar backend — the kernels are not bit-exact.\n",
-                   simd::BackendName(backend));
-      return 1;
-    }
-    if (ratio < kSimdSpeedupFloor) {
-      std::fprintf(stderr,
-                   "FATAL: the clearance kernels run only %.3fx the scalar "
-                   "backend's speed on %s — below the SIMD gate of %.2fx. "
-                   "The batched hot path regressed.\n",
-                   ratio, simd::BackendName(backend), kSimdSpeedupFloor);
-      return 1;
-    }
-  }
-
   std::vector<Row> rows;
   for (const size_t users : user_sweep) {
     std::printf("building %zu-user workload (%d epochs)...\n", users, epochs);
@@ -357,33 +218,6 @@ int Main() {
             row.exit_check_seconds, row.pair_check_seconds,
             row.rebuild_seconds);
         std::fflush(stdout);
-        // The single-thread Stripe+KF cell once more on the scalar
-        // backend: every output must match bit for bit (full-size runs
-        // with a vector backend only, like the gate).
-        if (quick || backend == simd::Backend::kScalar ||
-            method != Method::kStripeKf || threads != 1) {
-          continue;
-        }
-        simd::SetActiveBackendForTest(simd::Backend::kScalar);
-        std::string scalar_digest;
-        const Row scalar =
-            RunCell(method, workload, users, epochs, threads, &scalar_digest);
-        simd::SetActiveBackendForTest(backend);
-        const double ratio = scalar.run_seconds / row.run_seconds;
-        std::printf("  %-11s %7zu users  scalar    %8.3f s  %7.2f epochs/s  "
-                    "(SIMD %s / scalar = %.3fx, not gated)\n",
-                    MethodName(method).c_str(), users, scalar.run_seconds,
-                    scalar.epochs_per_second, simd::BackendName(backend),
-                    ratio);
-        std::fflush(stdout);
-        if (!SameOutput(scalar, scalar_digest, row, digest)) {
-          std::fprintf(stderr,
-                       "FATAL: %s on the scalar backend diverged from the %s "
-                       "run (%zu users) — the kernels are not bit-exact.\n",
-                       MethodName(method).c_str(), simd::BackendName(backend),
-                       users);
-          return 1;
-        }
       }
     }
   }

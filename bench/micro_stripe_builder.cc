@@ -49,7 +49,7 @@ void BM_BuildStripe(benchmark::State& state) {
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(BuildPredictiveStripe(
-        {0, 0}, predicted, friends.constraints, 400.0, config, 0));
+        {0, 0}, predicted, friends.constraints, 400.0, config));
   }
 }
 BENCHMARK(BM_BuildStripe)

@@ -16,14 +16,6 @@
 # genuinely read-only and the link is only touched from commit sections —
 # TSan is the check that they are.
 #
-# A second pass runs the same labelled suites in the plain `build` tree
-# (the tier-1 tree, built here if it is not already) with
-# PROXDET_SIMD_FORCE=scalar: dispatch then binds only the scalar kernels,
-# so the engines, the pair check and the network suites are proven on the
-# scalar backend without a tree of their own. The simd suite's
-# SimdDispatchTest.ForceVariablePinsBackendAtFirstUse fails this pass if the
-# variable did not pin the scalar backend.
-#
 # The `socket`-labelled suite (the real-socket UDP backend) runs in every
 # labelled leg, most importantly the TSan tree: the epoll loop threads only
 # move bytes while the driver thread owns all protocol state, and TSan is
@@ -37,16 +29,14 @@
 # invariance across thread counts is exactly the property TSan must not
 # perturb.
 #
-# A third leg runs every label — `simd`, `pair_check`, `core`, `engine`,
+# A second leg runs every label — `simd`, `pair_check`, `core`, `engine`,
 # `predict`, `geom`, `common`, `substrate`, `obs`, `scale`, `net`, `shard`,
 # `latency`, `socket` and `sanitize`, the whole tier-1 suite, like the ASan
-# leg — under -DPROXDET_SANITIZE=undefined: the branchless lane arithmetic
-# in the vector kernels (masked selects, safe-divisor guards) must not hide
-# UB — every lane's intermediate math has to be well-defined even where a
-# mask discards it, including the pair check's batched gap < r lanes — and
-# the radius solve's erf-table index, a double-to-int conversion, is
-# checked by -fsanitize=float-cast-overflow across the core suite's 10^6
-# solves.
+# leg — under -DPROXDET_SANITIZE=undefined: the batched kernels' pointer
+# arithmetic over SoA scratch, including the pair check's batched gap < r
+# lanes, must stay well-defined, and the radius solve's erf-table index, a
+# double-to-int conversion, is checked by -fsanitize=float-cast-overflow
+# across the core suite's 10^6 solves.
 # The `engine` suite (naive detectors, policies, every method against the
 # ground truth, the simulation loop, the region detector) runs the same
 # kernels end to end; the `predict` suite covers the prediction models.
@@ -62,7 +52,7 @@
 # sequence arithmetic over arbitrary bytes; `sanitize` the thread pool and
 # the determinism runs.
 #
-# A fourth leg runs the protocol and observability suites — `net`, `shard`,
+# A third leg runs the protocol and observability suites — `net`, `shard`,
 # `latency`, `socket` and `obs` — plus `geom`, `common` and `substrate`,
 # the kernel and builder suites — `simd`, `pair_check`, `core`, `engine`
 # and `predict` — and the `scale` and `sanitize` suites (the streaming
@@ -71,13 +61,12 @@
 # recycles frame buffers through a pool, keeps pending frames in per-peer
 # ring slots, decodes into a per-thread scratch frame and records protocol
 # events into fixed ring arrays; a Stripe's kernels read its segment end
-# points through the anchor arrays offset by one; the vector kernels load
-# whole lane blocks and hand the remainder to the scalar tail; and the
-# stripe builder stages every friend constraint into reused per-thread SoA
-# scratch and reduces over lane ranges of it; a streaming world serves
-# positions from a fixed ring of epoch rows, and the resident build helpers
-# hand their slots back to the driver across threads: a use-after-free or
-# an overrun in any of them shows up here.
+# points through the anchor arrays offset by one; the stripe builder
+# stages every friend constraint into reused per-thread SoA scratch and
+# reduces over lane ranges of it; a streaming world serves positions from
+# a fixed ring of epoch rows, and the resident build helpers hand their
+# slots back to the driver across threads: a use-after-free or an overrun
+# in any of them shows up here.
 #
 #   scripts/check.sh [extra cmake args...]
 #
@@ -97,11 +86,6 @@ cmake -B "$BUILD_DIR" -S . -DPROXDET_SANITIZE=thread "$@"
 cmake --build "$BUILD_DIR" -j "$JOBS"
 PROXDET_THREADS="${PROXDET_THREADS:-4}" \
   ctest --test-dir "$BUILD_DIR" -L "$LABELS" --output-on-failure -j "$JOBS"
-
-cmake -B build -S . "$@"
-cmake --build build -j "$JOBS"
-PROXDET_SIMD_FORCE=scalar \
-  ctest --test-dir build -L "$LABELS" --output-on-failure -j "$JOBS"
 
 cmake -B "$UBSAN_BUILD_DIR" -S . -DPROXDET_SANITIZE=undefined "$@"
 cmake --build "$UBSAN_BUILD_DIR" -j "$JOBS"

@@ -13,8 +13,9 @@ namespace proxdet {
 std::string BenchJsonPath(const std::string& filename);
 
 /// The machine a benchmark ran on, as one JSON object for a BENCH file's
-/// "machine" block: online CPUs ("nproc"), the CPU model, the active SIMD
-/// kernel backend and the build type the library was compiled with.
+/// "machine" block: online CPUs ("nproc"), the CPU model, the batched
+/// kernels' implementation ("simd_backend") and the build type the library
+/// was compiled with.
 std::string MachineJson();
 
 }  // namespace proxdet

@@ -35,8 +35,8 @@ struct NaiveMetrics {
 /// Batched pair-scan observability: one histogram sample per chunk dispatch
 /// (the SoA lane count handed to the kernel) plus a lane counter — pure
 /// functions of the workload, so both stay in the deterministic digest.
-/// The dispatch counter is keyed by the runtime-selected backend, which
-/// depends on CPUID and PROXDET_SIMD_FORCE, hence wall-clock-kinded.
+/// The dispatch counter (simd.dispatch.<backend>) is wall-clock-kinded:
+/// its name carries the kernel implementation, which digests leave out.
 struct SimdScanMetrics {
   obs::HistogramMetric& pair_scan_batch;
   obs::Counter& pair_scan_lanes;

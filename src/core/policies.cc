@@ -38,15 +38,13 @@ struct StripeMetrics {
   obs::QuantileMetric& e_p;
   /// SoA lane counts the builder staged per rebuild (point-like constraints
   /// vs concatenated stripe segments) — deterministic functions of the
-  /// workload, like every other stripe.* metric. Power-of-two-ish buckets:
-  /// what matters is how many lanes land in full vector blocks vs the
-  /// scalar tail.
+  /// workload, like every other stripe.* metric. Power-of-two-ish buckets.
   obs::HistogramMetric& batch_points;
   obs::HistogramMetric& batch_segments;
-  /// Batched-kernel dispatches, keyed by the runtime-selected backend
-  /// (simd.dispatch.scalar|w4|w8). The split is host- and build-dependent
-  /// (CPUID, PROXDET_SIMD_FORCE), so it is wall-clock-kinded and stays out
-  /// of the deterministic digest.
+  /// Batched-kernel dispatches, keyed by the kernel implementation
+  /// (simd.dispatch.scalar). The name carries the implementation, so the
+  /// counter is wall-clock-kinded and stays out of the deterministic
+  /// digest.
   obs::Counter& dispatches;
   /// Radius solves and the exact E_m evaluations they made (the screened
   /// bisection's fallbacks plus one per returned solution). Whether a step
@@ -220,6 +218,7 @@ bool StripePolicy::BuildConcurrent(UserId u, const Vec2& location,
                                    const std::vector<FriendView>& friends,
                                    int epoch, ConcurrentBuild* out) const {
   (void)u;
+  (void)epoch;  // Circles and stripes, a stripe build's friends, are static.
   std::vector<Vec2> predicted;
   {
     obs::TraceScope span("predict", "engine");
@@ -236,7 +235,7 @@ bool StripePolicy::BuildConcurrent(UserId u, const Vec2& location,
   }
   obs::TraceScope span("stripe_build", "engine");
   StripeBuildResult result = BuildPredictiveStripe(
-      location, predicted, constraints, speed, options_.build, epoch);
+      location, predicted, constraints, speed, options_.build);
   auto sample = std::make_unique<StripeSample>();
   sample->m = result.m;
   sample->solution = result.solution;

@@ -57,11 +57,11 @@ struct EngineMetrics {
 
 /// Batched-geometry observability for the engine's chunked scans: one
 /// histogram sample per store-kernel dispatch (the SoA lane count handed to
-/// the kernel) plus a dispatch counter keyed by the runtime-selected
-/// backend. Batch sizes are chunk-shaped — the grains below are fixed, so
-/// the histograms are pure functions of the workload and stay in the
-/// deterministic digest. The scalar-vs-w4-vs-w8 split depends on CPUID and
-/// PROXDET_SIMD_FORCE, so the dispatch counter is wall-clock-kinded.
+/// the kernel) plus a dispatch counter keyed by the kernel implementation.
+/// Batch sizes are chunk-shaped — the grains below are fixed, so the
+/// histograms are pure functions of the workload and stay in the
+/// deterministic digest. The dispatch counter's name carries the
+/// implementation, so it is wall-clock-kinded and digests leave it out.
 /// Recording happens at most a few times per chunk, never per lane.
 struct SimdScanMetrics {
   obs::HistogramMetric& exit_batch;

@@ -130,12 +130,14 @@ struct FriendSurvey {
 /// Surveys one friend; aborts unless its region is a Circle or a Stripe
 /// (every friend is surveyed before anything else reads it).
 FriendSurvey SurveyFriend(const StripeFriendConstraint& f, const Vec2& p,
-                          double approach_factor, int epoch) {
+                          double approach_factor) {
   const SafeRegionShape& shape = *f.region;
   FriendSurvey out;
   out.gap.alert_radius = f.alert_radius;
   out.gap.speed = std::max(f.speed * approach_factor, 1e-6);
-  out.bounded = ShapeBoundsAt(shape, epoch, &out.box);
+  // A Circle's or a Stripe's box is the same at every epoch (any other
+  // shape aborts below).
+  out.bounded = ShapeBoundsAt(shape, /*epoch=*/0, &out.box);
   if (const Circle* c = std::get_if<Circle>(&shape)) {
     out.gap.y0 =
         PointClearance(p.x, p.y, c->center.x, c->center.y, c->radius);
@@ -278,7 +280,7 @@ BuildScratch& Scratch() {
 StripeBuildResult BuildPredictiveStripe(
     const Vec2& current, const std::vector<Vec2>& predicted_in,
     const std::vector<StripeFriendConstraint>& friends, double user_speed,
-    const StripeBuildConfig& config, int epoch) {
+    const StripeBuildConfig& config) {
   user_speed = std::max(user_speed, 1e-6);
   BuildScratch& scratch = Scratch();
   // Quantize the anchors up front: all clearance and radius math below then
@@ -305,7 +307,7 @@ StripeBuildResult BuildPredictiveStripe(
   size_t offered_segment_lanes = 0;
   for (size_t i = 0; i < friends.size(); ++i) {
     surveys[i] =
-        SurveyFriend(friends[i], current_q, config.approach_factor, epoch);
+        SurveyFriend(friends[i], current_q, config.approach_factor);
     offered_point_lanes += surveys[i].point_lanes;
     offered_segment_lanes += surveys[i].segment_lanes;
   }
@@ -411,9 +413,8 @@ StripeBuildResult BuildPredictiveStripe(
       }
     }
     // Stripe friends: one store-kernel call over the concatenated segment
-    // batch (every lane in a full-width block, unlike per-friend calls
-    // whose short ranges would mostly run in the scalar tail), then one
-    // ranged min per friend — bit-exact with the per-friend reduced calls.
+    // batch, then one ranged min per friend — bit-exact with the
+    // per-friend reduced calls.
     if (!staged.ranges.empty()) {
       ++dispatches;
       simd::SegmentToSegmentsSquaredDistances(

@@ -107,7 +107,7 @@ struct StripeBuildResult {
 StripeBuildResult BuildPredictiveStripe(
     const Vec2& current, const std::vector<Vec2>& predicted,
     const std::vector<StripeFriendConstraint>& friends, double user_speed,
-    const StripeBuildConfig& config, int epoch);
+    const StripeBuildConfig& config);
 
 }  // namespace proxdet
 

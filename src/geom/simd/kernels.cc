@@ -1,20 +1,15 @@
-// Scalar reference kernels. Every function here replicates the scalar
-// geometry in src/geom operation for operation (see the per-function notes
-// naming the replicated source); the vector backends treat these as ground
-// truth — their tails call straight into this file and the startup
-// self-check compares against it bitwise. This TU is compiled with
-// -ffp-contract=off like the vector units, so no backend ever sees a fused
-// multiply-add the scalar library would not perform.
+// The batched kernels. Every function here replicates the scalar geometry
+// in src/geom operation for operation (see the per-function notes naming
+// the replicated source). This TU is compiled with -ffp-contract=off, so
+// no lane sees a fused multiply-add the per-pair code would not perform.
 
 #include <cmath>
 #include <limits>
 
-#include "geom/simd/kernel_table.h"
 #include "geom/simd/simd.h"
 
 namespace proxdet {
 namespace simd {
-namespace scalar {
 
 namespace {
 
@@ -197,24 +192,9 @@ void CirclePairsGapBelow(const double* ax, const double* ay, const double* ar,
   }
 }
 
-}  // namespace scalar
+Backend ActiveBackend() { return Backend::kScalar; }
 
-namespace internal {
+const char* BackendName(Backend) { return "scalar"; }
 
-const KernelTable& ScalarTable() {
-  static const KernelTable table{
-      &scalar::SegmentSquaredDistanceToPoints,
-      &scalar::PolylineSquaredDistanceToPoint,
-      &scalar::SegmentsSquaredDistanceToPoint,
-      &scalar::SegmentToPolylineSquaredDistance,
-      &scalar::SegmentToSegmentsSquaredDistances,
-      &scalar::PairsWithinRadii,
-      &scalar::CirclesContainPoints,
-      &scalar::CirclePairsGapBelow,
-  };
-  return table;
-}
-
-}  // namespace internal
 }  // namespace simd
 }  // namespace proxdet

@@ -12,23 +12,14 @@ namespace simd {
 /// Contract: every kernel is **bit-exact** with the scalar geometry in
 /// src/geom — the per-lane operation sequence is the scalar sequence (same
 /// adds, multiplies, divides, sqrt and comparisons, in the same order), so
-/// a lane computes the identical IEEE-754 double the scalar call would.
-/// Vectorization only runs independent lanes side by side; the one place a
-/// cross-lane operation appears (min-reductions in the *SquaredDistance*
-/// scans) it folds non-negative finite values, where min is associative
-/// and commutative *in value and in bits* (no NaNs, no -0.0 can arise from
-/// dx*dx + dy*dy forms), and IEEE sqrt is correctly rounded hence
-/// monotone, so sqrt(min d^2) == min sqrt(d^2) bit-for-bit. DESIGN.md §11
-/// spells the argument out.
-///
-/// Backends: a scalar reference (always compiled; also the tail loop of
-/// every vector kernel), a 4-wide AVX2 unit and an 8-wide AVX-512F unit
-/// (compiled whenever the compiler accepts -mavx2 / -mavx512f). Dispatch picks the widest backend the running CPU supports —
-/// but only after a one-time bitwise self-check against the scalar
-/// reference on deterministic pseudo-random batches; a backend that fails
-/// verification is never used (the "runtime-verified scalar fallback").
-/// Vector translation units are built with -ffp-contract=off so no FMA
-/// contraction can perturb the scalar-identical operation sequence.
+/// a lane computes the identical IEEE-754 double the per-pair call would.
+/// The one fold (the min-reductions of the *SquaredDistance* scans) runs
+/// over non-negative finite values in index order, and IEEE sqrt is
+/// correctly rounded hence monotone, so sqrt(min d^2) == min sqrt(d^2)
+/// bit-for-bit. DESIGN.md §11 spells the argument out. There is one
+/// implementation (kernels.cc, compiled with -ffp-contract=off so no fused
+/// multiply-add can perturb the operation sequence); tests/geom/simd_test.cc
+/// checks every lane against the per-pair primitive.
 
 /// SoA view of a polyline's segments. Arrays hold, per segment i:
 /// endpoints (ax,ay)-(bx,by), the precomputed direction d = b - a and its
@@ -49,27 +40,15 @@ struct SegmentSoA {
   size_t n = 0;
 };
 
-enum class Backend : int { kScalar = 0, kW4 = 1, kW8 = 2 };
+/// The kernel implementation a run used, for machine blocks and metric
+/// names. There is one: the scalar loops of kernels.cc.
+enum class Backend : int { kScalar = 0 };
 
-/// The backend dispatch selected (after the runtime self-check). Stable
-/// after the first call.
 Backend ActiveBackend();
 const char* BackendName(Backend b);
-/// True when at least one vector backend is compiled in (the compiler
-/// accepted its arch flag) — though the CPU still decides what runs.
-bool CompiledWithSimd();
-/// False only when a compiled vector backend failed the startup bitwise
-/// self-check and was rejected (the run then proceeds on scalar).
-bool SelfCheckPassed();
-/// Test hook: force dispatch onto a specific backend. Returns false (and
-/// changes nothing) when that backend is not compiled in or not supported
-/// by the CPU. Not thread-safe; call before any parallel region. The
-/// PROXDET_SIMD_FORCE environment variable (scalar|w4|w8) applies the same
-/// override at first use.
-bool SetActiveBackendForTest(Backend b);
 
 // ---------------------------------------------------------------------------
-// Batched kernels (dispatched). All outputs are written for all n lanes;
+// Batched kernels. All outputs are written for all n lanes;
 // uint8_t outputs are exactly 0 or 1.
 // ---------------------------------------------------------------------------
 
@@ -130,37 +109,6 @@ void CirclesContainPoints(const double* cx, const double* cy,
 void CirclePairsGapBelow(const double* ax, const double* ay, const double* ar,
                          const double* bx, const double* by, const double* br,
                          const double* thr, size_t n, uint8_t* below);
-
-// ---------------------------------------------------------------------------
-// Scalar reference implementations (never vectorized; the dispatch target
-// of the scalar backend, the tail loop of the vector backends, and the
-// ground truth the property tests and the startup self-check compare
-// against bitwise).
-// ---------------------------------------------------------------------------
-namespace scalar {
-void SegmentSquaredDistanceToPoints(double ax, double ay, double dx,
-                                    double dy, double len2, const double* px,
-                                    const double* py, size_t n, double* out);
-double PolylineSquaredDistanceToPoint(const SegmentSoA& segs, double px,
-                                      double py);
-void SegmentsSquaredDistanceToPoint(const SegmentSoA& segs, double px,
-                                    double py, double* out);
-double SegmentToPolylineSquaredDistance(double qax, double qay, double qbx,
-                                        double qby, const SegmentSoA& segs);
-void SegmentToSegmentsSquaredDistances(double qax, double qay, double qbx,
-                                       double qby, const SegmentSoA& segs,
-                                       double* out);
-void PairsWithinRadii(const double* ax, const double* ay, const double* bx,
-                      const double* by, const double* r, size_t n,
-                      uint8_t* within);
-void CirclesContainPoints(const double* cx, const double* cy,
-                          const double* cr, const double* px,
-                          const double* py, size_t n, bool strict,
-                          uint8_t* inside);
-void CirclePairsGapBelow(const double* ax, const double* ay, const double* ar,
-                         const double* bx, const double* by, const double* br,
-                         const double* thr, size_t n, uint8_t* below);
-}  // namespace scalar
 
 }  // namespace simd
 }  // namespace proxdet

@@ -32,7 +32,7 @@ TEST(StripeBuilderTest, NoFriendsFullHorizon) {
   const Vec2 current{0, 0};
   const auto predicted = StraightPrediction(current, {100, 0}, 8);
   const StripeBuildResult res =
-      BuildPredictiveStripe(current, predicted, {}, 100.0, config, 0);
+      BuildPredictiveStripe(current, predicted, {}, 100.0, config);
   EXPECT_EQ(res.m, 8);
   EXPECT_EQ(res.stripe.anchor_count(), 9u);  // Anchored at current.
   EXPECT_DOUBLE_EQ(res.stripe.radius(), config.sigma_cap_mult * config.sigma);
@@ -56,7 +56,7 @@ TEST(StripeBuilderTest, ContainsCurrentLocationAlways) {
     std::vector<StripeFriendConstraint> friends;
     friends.push_back({&friend_region, 50.0, 3.0});
     const StripeBuildResult res = BuildPredictiveStripe(
-        current, predicted, friends, 10.0, config, 0);
+        current, predicted, friends, 10.0, config);
     EXPECT_TRUE(res.stripe.Contains(current));
   }
 }
@@ -94,7 +94,7 @@ TEST(StripeBuilderTest, RespectsFriendSafetyInvariant) {
     }
     if (!feasible) continue;
     const StripeBuildResult res = BuildPredictiveStripe(
-        current, predicted, friends, 20.0, config, 0);
+        current, predicted, friends, 20.0, config);
     for (const auto& f : friends) {
       const double d =
           ShapeMinDistance(SafeRegionShape(res.stripe), *f.region, 0);
@@ -115,7 +115,7 @@ TEST(StripeBuilderTest, TruncatesAtFriendViolatingAnchor) {
   friends.push_back({&friend_region, 60.0, 2.0});
   // Anchor 5 is at x=500, within 60+10 of the friend: m <= 4.
   const StripeBuildResult res =
-      BuildPredictiveStripe(current, predicted, friends, 100.0, config, 0);
+      BuildPredictiveStripe(current, predicted, friends, 100.0, config);
   EXPECT_LE(res.m, 4);
 }
 
@@ -123,7 +123,7 @@ TEST(StripeBuilderTest, EmptyPredictionDegeneratesToDisk) {
   StripeBuildConfig config;
   config.sigma = 8.0;
   const StripeBuildResult res =
-      BuildPredictiveStripe({5, 5}, {}, {}, 2.0, config, 0);
+      BuildPredictiveStripe({5, 5}, {}, {}, 2.0, config);
   EXPECT_EQ(res.m, 0);
   EXPECT_EQ(res.stripe.anchor_count(), 1u);
   EXPECT_DOUBLE_EQ(res.stripe.radius(), config.sigma_cap_mult * config.sigma);
@@ -140,7 +140,7 @@ TEST(StripeBuilderTest, SqueezedUserGetsPointRegion) {
   friends.push_back({&friend_region, 50.0, 2.0});  // Slack = 1.
   const StripeBuildResult res = BuildPredictiveStripe(
       current, StraightPrediction(current, {50, 0}, 5), friends, 50.0,
-      config, 0);
+      config);
   EXPECT_LE(res.stripe.radius(), 1.0);
   EXPECT_TRUE(res.stripe.Contains(current));
 }
@@ -163,9 +163,9 @@ TEST(StripeBuilderTest, BetterPredictorLongerObjectiveAtEqualCap) {
   bad.sigma = 80.0;
   bad.sigma_cap_mult = 4.0;  // Cap 320.
   const auto res_good =
-      BuildPredictiveStripe(current, predicted, friends, 50.0, good, 0);
+      BuildPredictiveStripe(current, predicted, friends, 50.0, good);
   const auto res_bad =
-      BuildPredictiveStripe(current, predicted, friends, 50.0, bad, 0);
+      BuildPredictiveStripe(current, predicted, friends, 50.0, bad);
   EXPECT_GE(res_good.solution.Objective() + 1e-9,
             res_bad.solution.Objective());
 }
@@ -177,7 +177,7 @@ TEST(StripeBuilderTest, HorizonCapRespected) {
   const Vec2 current{0, 0};
   const auto predicted = StraightPrediction(current, {50, 0}, 10);
   const StripeBuildResult res =
-      BuildPredictiveStripe(current, predicted, {}, 50.0, config, 0);
+      BuildPredictiveStripe(current, predicted, {}, 50.0, config);
   EXPECT_LE(res.m, 3);
 }
 
@@ -259,7 +259,9 @@ StripeBuildResult UnscreenedReference(
 // grid-snapped stripes near and far, with duplicated friends
 // (equal terms), alert radii set exactly to a clearance (lb == r_w and
 // U0 == 0), friends inside the alert radius (U0 < 0), speeds at the clamps
-// (0, approach factor 0, far below 1e-6) and very fast friends.
+// (0, approach factor 0, far below 1e-6) and very fast friends. The
+// reference reads the friends at a random epoch; the builder takes none,
+// since circles and stripes are the same at every epoch.
 TEST(StripeBuilderTest, ScreenedBuildIsBitExactWithUnscreenedReference) {
   const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
   Rng rng(4242);
@@ -374,7 +376,7 @@ TEST(StripeBuilderTest, ScreenedBuildIsBitExactWithUnscreenedReference) {
         us == 0 ? 0.0 : (us == 1 ? rng.Uniform(0.2, 5.0) : step);
 
     const StripeBuildResult got = BuildPredictiveStripe(
-        current, predicted, friends, user_speed, config, epoch);
+        current, predicted, friends, user_speed, config);
     const StripeBuildResult want = UnscreenedReference(
         current, predicted, friends, user_speed, config, epoch);
     screened += got.screened_friends;
@@ -418,7 +420,7 @@ TEST(StripeBuilderTest, FriendOutsideStripeFamilyAborts) {
     const std::vector<StripeFriendConstraint> friends{
         {&circle, 100.0, 1.0}, {outside, 100.0, 1.0}};
     EXPECT_DEATH(BuildPredictiveStripe(current, predicted, friends, 40.0,
-                                       config, 0),
+                                       config),
                  std::string("friend region is a ") + ShapeName(*outside));
   }
 }
@@ -437,7 +439,7 @@ TEST(StripeBuilderTest, ScreenKeepsFarFriendThatOwnsProbeTime) {
   friends.push_back({&near_slow, 100.0, 1.0});
   friends.push_back({&far_fast, 100.0, 1e5});
   const StripeBuildResult both =
-      BuildPredictiveStripe(current, predicted, friends, 40.0, config, 0);
+      BuildPredictiveStripe(current, predicted, friends, 40.0, config);
   EXPECT_EQ(both.screened_friends, 0u);
   const StripeBuildResult want = UnscreenedReference(
       current, predicted, friends, 40.0, config, 0);
@@ -446,7 +448,7 @@ TEST(StripeBuilderTest, ScreenKeepsFarFriendThatOwnsProbeTime) {
   // A slow far friend is screened, and the result does not move.
   friends[1].speed = 1.0;
   const StripeBuildResult slow =
-      BuildPredictiveStripe(current, predicted, friends, 40.0, config, 0);
+      BuildPredictiveStripe(current, predicted, friends, 40.0, config);
   EXPECT_EQ(slow.screened_friends, 1u);
   const StripeBuildResult slow_want = UnscreenedReference(
       current, predicted, friends, 40.0, config, 0);
@@ -474,7 +476,7 @@ TEST(StripeBuilderTest, ScreenKeepsFriendThatOwnsProbeTimeMidInterval) {
   friends.push_back({&between, 200.0, 2.0});
   friends.push_back({&far_fast, 200.0, 100.0});
   const StripeBuildResult got =
-      BuildPredictiveStripe(current, predicted, friends, 1.0, config, 0);
+      BuildPredictiveStripe(current, predicted, friends, 1.0, config);
   const StripeBuildResult want = UnscreenedReference(
       current, predicted, friends, 1.0, config, 0);
   EXPECT_EQ(got.screened_friends, 0u);
